@@ -1,6 +1,10 @@
 """Simulation and numerical-verification toolkit for statistics of randomly
 weighted d-dimensional simplicial complexes."""
 
+# Defined before the submodule imports: harness reads it while the package
+# is still initializing.
+__version__ = "0.1.0"
+
 from .bounds import (BoundInputs, bound_add_one, bound_corollary, bound_main,
                      gamma_bound, nn_cov_asymptote, nn_cov_exact,
                      nn_variance_asymptote, rho_bound, truncation_level,
@@ -23,5 +27,3 @@ from .statistics import (Statistic, betti_bounded, cocycle_count_bounded,
                          make_statistic, nn_total)
 from .topology import (ball_k, components, connected_within, gamma_exact,
                        m_ball)
-
-__version__ = "0.1.0"

@@ -101,12 +101,11 @@ def parse_config(text: str, overrides: Optional[dict] = None
     else:
         dist = WeightDistribution("constant", 1.0)
     params = ModelParams(n, int(obj["d"]), p, dist)
-    workers = obj.get("workers")
     return ExperimentConfig(
         params=params, statistic=str(obj["stat"]),
         replicas=int(obj["replicas"]), seed=int(obj["seed"]),
-        workers=int(workers) if workers is not None
-        else harness.default_workers(),
+        workers=int(obj["workers"]) if obj.get("workers") is not None
+        else 1,
         outputs=obj.get("out"), mode=str(obj.get("mode", "clt")))
 
 
@@ -243,8 +242,7 @@ def _cmd_stat(args) -> int:
 def _cmd_clt(args) -> int:
     config = _config_from_args(args)
     summary = harness.run_clt(config)
-    _emit({"config": config.to_json(), "summary": summary.to_json()},
-          None if config.outputs else None)
+    _emit({"config": config.to_json(), "summary": summary.to_json()}, None)
     return 0
 
 
@@ -329,7 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -12,29 +12,40 @@ this on random instances.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Hashable, List, Sequence
 
-from .simplices import SubComplexView, faces, rank_colex, unrank_colex
+import numpy as np
+
+from .simplices import SubComplexView
 
 RANK_PRIME = (1 << 31) - 1
 
 
+def coboundary_rows(face_rows: Sequence[Sequence[Hashable]],
+                    cols: Sequence[Hashable]) -> List[List[int]]:
+    """Sign rows of a coboundary matrix: row i has (-1)^j in the column of
+    face j (in the order of faces()) of the i-th d-simplex; `cols` lists
+    the column keys in column order."""
+    col_of = {c: j for j, c in enumerate(cols)}
+    rows = []
+    for franks in face_rows:
+        row = [0] * len(col_of)
+        for i, f in enumerate(franks):
+            row[col_of[f]] = -1 if i % 2 else 1
+        rows.append(row)
+    return rows
+
+
 def coboundary_matrix(sub: SubComplexView) -> List[List[int]]:
-    """Dense sign matrix, rows over included d-simplices, columns over the
-    subcomplex's (d-1)-simplices in ascending rank order."""
+    """Dense sign matrix, rows over included d-simplices in ascending rank
+    order, columns over the subcomplex's (d-1)-simplices in ascending rank
+    order."""
     if sub.lower_faces is not None:
         cols = sorted(sub.lower_faces)
     else:
-        cols = list(range(math.comb(sub.n, sub.d)))
-    col_of = {fr: j for j, fr in enumerate(cols)}
-    rows = []
-    for r in sorted(sub.included):
-        tau = unrank_colex(int(r), sub.d, sub.n)
-        row = [0] * len(cols)
-        for i, f in enumerate(faces(tau)):
-            row[col_of[rank_colex(f)]] = -1 if i % 2 else 1
-        rows.append(row)
-    return rows
+        cols = range(math.comb(sub.n, sub.d))
+    order = np.argsort(sub.included, kind="stable")
+    return coboundary_rows(sub.face_rows[order].tolist(), cols)
 
 
 def rank_mod_p(matrix: Sequence[Sequence[int]], p: int = RANK_PRIME) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,15 +18,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import bounds, rng
+from . import __version__, bounds, rng
 from .perturbation import (StabilizationEstimate, estimate_addone_mean,
                            estimate_delta_tilde, estimate_gamma,
                            estimate_rho_probe, estimate_variance_and_J)
 from .sampling import ModelParams, PairedSample, sample_complex
 from .simplices import simplex_table
 from .statistics import make_statistic, nn_total
-
-__version__ = "0.1.0"
 
 KOLMOGOROV_95 = 1.36
 
@@ -356,10 +353,3 @@ def run_cov_nn(n: int, d: int, replicas: int, inner: int,
             "cov_asymptote": bounds.nn_cov_asymptote(n),
             "replicas": replicas, "inner": inner, "seed": seed,
             "n": n, "d": d}
-
-
-def default_workers() -> int:
-    env = os.environ.get("RWCOMPLEX_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .sampling import ForcedBits, ModelParams, PairedSample, sample_complex
-from .simplices import WeightedComplex, rank_colex
+from .simplices import WeightedComplex, rank_colex, unrank_colex
 from .statistics import Statistic
 from .topology import ball_k, canonical_disjoint_pair, connected_within
 
@@ -74,7 +74,6 @@ def local_add_one_cost(f: Statistic, X: WeightedComplex, tau,
     if k < 0:
         raise ValueError("k must be nonnegative")
     tau_rank = _as_rank(tau)
-    from .simplices import unrank_colex
     tau_verts = unrank_colex(tau_rank, X.d, X.n)
     plus = ball_k(X.with_simplex(tau_rank, w_tau), tau_verts, k).as_complex()
     minus = ball_k(X.without_simplex(tau_rank), tau_verts, k).as_complex()
@@ -177,7 +176,6 @@ def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
 def _local_randomized_derivative(f: Statistic, s: PairedSample,
                                  F: Sequence[int], tau_rank: int,
                                  k: int) -> float:
-    from .simplices import unrank_colex
     tau_verts = unrank_colex(tau_rank, s.params.d, s.params.n)
     F = [int(r) for r in F]
     a = ball_k(s.resampled(F), tau_verts, k).as_complex()

@@ -9,7 +9,7 @@ ever storing C(n, d+1) values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -170,9 +170,6 @@ class PairedSample:
                 self.presence(ranks, primed=True),
                 self.weight_values(ranks, primed=True))
 
-    def with_forced(self, forced: ForcedBits) -> "PairedSample":
-        return replace(self, forced=forced)
-
     def complex(self) -> WeightedComplex:
         """The primary complex X."""
         return self.resampled(())
@@ -203,14 +200,6 @@ class PairedSample:
 def sample_complex(params: ModelParams, seed: int) -> WeightedComplex:
     """One realization of the randomly weighted d-complex."""
     return PairedSample(params, seed).complex()
-
-
-def add_simplex(X: WeightedComplex, rank: int, weight: float) -> WeightedComplex:
-    return X.with_simplex(rank, weight)
-
-
-def remove_simplex(X: WeightedComplex, rank: int) -> WeightedComplex:
-    return X.without_simplex(rank)
 
 
 def truncated_params(params: ModelParams, alpha: float) -> ModelParams:

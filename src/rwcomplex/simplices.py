@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +75,56 @@ def cofacet_ranks(sigma: Sequence[int], n: int) -> np.ndarray:
                             dtype=np.int64))
 
 
+# ---------------------------------------------------------------------------
+# vectorized colex arithmetic
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@lru_cache(maxsize=32)
+def _binomials(n: int, k: int) -> np.ndarray:
+    """Read-only table B[j, v] = C(v, j) for j <= k+1 and v <= n.
+
+    Entries past the int64 range are saturated: they exceed every rank
+    that fits in int64, so they never match and never enter a sum.
+    """
+    B = np.array([[min(math.comb(v, j), _INT64_MAX) for v in range(n + 1)]
+                  for j in range(k + 2)], dtype=np.int64)
+    B.setflags(write=False)
+    return B
+
+
+def unrank_colex_array(ranks, k: int, n: int) -> np.ndarray:
+    """unrank_colex over an array of ranks: row i is the k-simplex of rank
+    ranks[i], shape (len(ranks), k+1)."""
+    r = np.array(ranks, dtype=np.int64).reshape(-1)
+    if r.size and (int(r.min()) < 0
+                   or int(r.max()) >= math.comb(n, k + 1)):
+        raise ValueError("rank out of range for k=%d, n=%d" % (k, n))
+    B = _binomials(n, k)
+    out = np.empty((r.size, k + 1), dtype=np.int64)
+    for j in range(k + 1, 0, -1):
+        # largest m with C(m, j) <= r, as in the scalar unrank_colex
+        m = np.searchsorted(B[j], r, side="right") - 1
+        r -= B[j, m]
+        out[:, j - 1] = m
+    return out
+
+
+def face_rank_array(verts: np.ndarray, n: int) -> np.ndarray:
+    """Ranks of the codimension-1 faces of each row of `verts` (simplices
+    over n vertices); column i deletes vertex i, the order of faces()."""
+    verts = np.asarray(verts, dtype=np.int64)
+    m, k1 = verts.shape
+    B = _binomials(n, k1 - 1)
+    cols = np.arange(k1)
+    # face with vertex i deleted: positions j < i keep index j, j > i drop one
+    ca = np.cumsum(B[cols + 1, verts], axis=1)   # C(v_j, j+1)
+    cb = np.cumsum(B[cols, verts], axis=1)       # C(v_j, j)
+    prefix = np.hstack([np.zeros((m, 1), dtype=np.int64), ca[:, :-1]])
+    return prefix + (cb[:, -1:] - cb)
+
+
 @dataclass(frozen=True)
 class WeightedComplex:
     """A d-complex over n vertices: present d-simplex ranks plus weights.
@@ -112,6 +161,33 @@ class WeightedComplex:
     def num_present(self) -> int:
         return int(self.present.size)
 
+    @property
+    def face_rows(self) -> np.ndarray:
+        """Face ranks of the present simplices: row i belongs to present[i],
+        column j deletes vertex j.  Built once per complex."""
+        rows = self.__dict__.get("_face_rows")
+        if rows is None:
+            rows = face_rank_array(
+                unrank_colex_array(self.present, self.d, self.n), self.n)
+            rows.setflags(write=False)
+            object.__setattr__(self, "_face_rows", rows)
+        return rows
+
+    @property
+    def face_adjacency(self) -> Dict[int, List[Tuple[int, tuple]]]:
+        """face rank -> [(d-simplex rank, all face ranks of that simplex)]
+        over the present simplices in ascending rank.  Built once per
+        complex; callers must not mutate it."""
+        adj = self.__dict__.get("_face_adjacency")
+        if adj is None:
+            adj = {}
+            for r, fs in zip(self.present.tolist(),
+                             map(tuple, self.face_rows.tolist())):
+                for f in fs:
+                    adj.setdefault(f, []).append((r, fs))
+            object.__setattr__(self, "_face_adjacency", adj)
+        return adj
+
     def has(self, rank: int) -> bool:
         i = np.searchsorted(self.present, rank)
         return i < self.present.size and self.present[i] == rank
@@ -147,12 +223,7 @@ def degree(X: WeightedComplex, sigma: Sequence[int]) -> int:
     """Number of present cofacets of the (d-1)-simplex sigma."""
     if len(tuple(sigma)) != X.d:
         raise ValueError("sigma must be a (d-1)-simplex")
-    ranks = cofacet_ranks(sigma, X.n)
-    idx = np.searchsorted(X.present, ranks)
-    idx = np.minimum(idx, max(X.present.size - 1, 0))
-    if X.present.size == 0:
-        return 0
-    return int(np.count_nonzero(X.present[idx] == ranks))
+    return len(X.face_adjacency.get(rank_colex(tuple(sigma)), ()))
 
 
 @dataclass(frozen=True)
@@ -163,6 +234,10 @@ class SubComplexView:
     skeleton (as for k-neighborhood balls).  Otherwise it lists exactly the
     (d-1)-simplex ranks of the subcomplex (as for M-balls and strongly
     connected components, which exclude ambient isolated simplices).
+
+    `face_rows[i]` holds the face ranks of `included[i]` in the order of
+    faces().  Views cut from a complex take them from its face index; when
+    omitted they are computed here.
     """
 
     n: int
@@ -170,16 +245,18 @@ class SubComplexView:
     included: tuple
     weights: tuple
     lower_faces: Optional[frozenset] = None
+    face_rows: Optional[np.ndarray] = field(default=None, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
-        if self.lower_faces is not None:
-            need = set()
-            for r in self.included:
-                tau = unrank_colex(r, self.d, self.n)
-                need.update(rank_colex(f) for f in faces(tau))
-            if not need <= set(self.lower_faces):
-                raise ValueError("lower_faces must contain every face of "
-                                 "every included d-simplex")
+        if self.face_rows is None:
+            object.__setattr__(self, "face_rows", face_rank_array(
+                unrank_colex_array(self.included, self.d, self.n), self.n))
+        if self.lower_faces is not None and \
+                not set(self.face_rows.ravel().tolist()) <= \
+                set(self.lower_faces):
+            raise ValueError("lower_faces must contain every face of "
+                             "every included d-simplex")
 
     def face_count(self) -> int:
         """f_{d-1} of the viewed subcomplex."""
@@ -201,12 +278,11 @@ class SubComplexView:
 def write_complex(path, X: WeightedComplex) -> None:
     """Line-oriented text format: header `n=<n> d=<d>`, then one line per
     present d-simplex `v0,...,vd,weight` with vertices ascending."""
+    verts = unrank_colex_array(X.present, X.d, X.n).tolist()
     with open(path, "w") as fh:
         fh.write("n=%d d=%d\n" % (X.n, X.d))
-        for r, w in zip(X.present, X.weights):
-            verts = unrank_colex(int(r), X.d, X.n)
-            fh.write(",".join(str(v) for v in verts) + "," + repr(float(w))
-                     + "\n")
+        for vs, w in zip(verts, X.weights.tolist()):
+            fh.write(",".join(map(str, vs)) + "," + repr(w) + "\n")
 
 
 def read_complex(path) -> WeightedComplex:
@@ -263,30 +339,10 @@ class SimplexTable:
 
 @lru_cache(maxsize=32)
 def simplex_table(n: int, d: int) -> SimplexTable:
-    comb = np.zeros((n + 1, d + 3), dtype=np.int64)
-    for v in range(n + 1):
-        for j in range(min(v, d + 2) + 1):
-            comb[v, j] = math.comb(v, j)
-    verts = np.array(list(combinations(range(n), d + 1)), dtype=np.int64)
-    cols = np.arange(d + 1)
-    ranks = comb[verts, cols + 1].sum(axis=1)
-    order = np.argsort(ranks)
-    verts = verts[order]
-    assert np.array_equal(ranks[order], np.arange(verts.shape[0]))
-
-    # face with vertex i deleted: positions j < i keep index j, j > i drop one
-    a = comb[verts, cols + 1]          # C(v_j, j+1)
-    b = comb[verts, cols]              # C(v_j, j)
-    ca = np.cumsum(a, axis=1)
-    cb = np.cumsum(b, axis=1)
-    prefix = np.hstack([np.zeros((verts.shape[0], 1), dtype=np.int64),
-                        ca[:, :-1]])
-    suffix = cb[:, -1:] - cb
-    face_ranks = prefix + suffix
-
-    flat = face_ranks.ravel()
-    order = np.argsort(flat, kind="stable")
+    verts = unrank_colex_array(np.arange(math.comb(n, d + 1)), d, n)
+    face_ranks = face_rank_array(verts, n)
+    order = np.argsort(face_ranks.ravel(), kind="stable")
     nf = math.comb(n, d)
-    assert flat.size == nf * (n - d)
+    assert order.size == nf * (n - d)
     cof = (order // (d + 1)).astype(np.int64).reshape(nf, n - d)
     return SimplexTable(n, d, verts, face_ranks, cof)

@@ -13,10 +13,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cohomology import cocycle_dim, rank_pm1
+from .cohomology import coboundary_rows, cocycle_dim, rank_pm1
 from .sampling import ModelParams, PairedSample
 from .simplices import (SubComplexView, WeightedComplex, cofacet_ranks, faces,
-                        rank_colex, simplex_table, unrank_colex)
+                        simplex_table, unrank_colex, unrank_colex_array)
 from .topology import component_view, components, m_ball
 
 
@@ -47,12 +47,7 @@ def nn_total(s: PairedSample) -> float:
 def nn_terms(X: WeightedComplex) -> List[float]:
     """Per-face nearest weights of a materialized complex; every face must
     be covered (intended for complete complexes in tests and generic code)."""
-    tbl = simplex_table(X.n, X.d)
-    acc = np.full(tbl.num_faces, np.inf)
-    if X.num_present:
-        fr = tbl.face_ranks[X.present]
-        np.minimum.at(acc, fr.ravel(),
-                      np.repeat(X.weights, X.d + 1))
+    acc = f_alpha_faces(X, math.inf)
     if np.isinf(acc).any():
         raise ValueError("nn_total undefined: some face has degree 0")
     return acc.tolist()
@@ -70,12 +65,9 @@ def f_alpha_faces(X: WeightedComplex, alpha: float) -> np.ndarray:
     for faces of degree zero."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    tbl = simplex_table(X.n, X.d)
-    acc = np.full(tbl.num_faces, float(alpha))
-    if X.num_present:
-        fr = tbl.face_ranks[X.present]
-        np.minimum.at(acc, fr.ravel(),
-                      np.repeat(np.minimum(X.weights, alpha), X.d + 1))
+    acc = np.full(math.comb(X.n, X.d), float(alpha))
+    np.minimum.at(acc, X.face_rows.ravel(),
+                  np.repeat(np.minimum(X.weights, alpha), X.d + 1))
     return acc
 
 
@@ -88,12 +80,7 @@ def f_alpha(X: WeightedComplex, alpha: float) -> float:
 
 def isolated_count(X: WeightedComplex) -> int:
     """Number of (d-1)-simplices with no present cofacet."""
-    nf = math.comb(X.n, X.d)
-    if not X.num_present:
-        return nf
-    tbl = simplex_table(X.n, X.d)
-    covered = np.unique(tbl.face_ranks[X.present])
-    return nf - int(covered.size)
+    return math.comb(X.n, X.d) - int(np.unique(X.face_rows).size)
 
 
 # ---------------------------------------------------------------------------
@@ -120,27 +107,21 @@ class LocalComplex:
         """dim Z^{d-1} of this explicit complex."""
         if not self.top:
             return len(self.lower)
-        col_of = {s: j for j, s in enumerate(self.lower)}
-        rows = []
-        for tau in self.top:
-            row = [0] * len(self.lower)
-            for i, f in enumerate(faces(tau)):
-                row[col_of[f]] = -1 if i % 2 else 1
-            rows.append(row)
+        rows = coboundary_rows([faces(tau) for tau in self.top], self.lower)
         return len(self.lower) - rank_pm1(rows)
 
 
 def _localize(view: SubComplexView) -> LocalComplex:
-    lower = sorted(view.lower_faces)
-    tops = [unrank_colex(r, view.d, view.n) for r in view.included]
-    lows = [unrank_colex(r, view.d - 1, view.n) for r in lower]
-    used = sorted({v for s in lows for v in s} | {v for s in tops for v in s})
-    rel = {v: i for i, v in enumerate(used)}
-    relabel = lambda s: tuple(rel[v] for v in s)
-    return LocalComplex(view.d,
-                        tuple(sorted(relabel(s) for s in lows)),
-                        tuple(sorted(relabel(s) for s in tops)),
-                        tuple(view.weights))
+    tops = unrank_colex_array(view.included, view.d, view.n)
+    lows = unrank_colex_array(sorted(view.lower_faces), view.d - 1, view.n)
+    used = np.union1d(tops, lows)
+
+    def relabel(verts: np.ndarray) -> list:
+        # the relabeling is increasing, so rows stay increasing tuples
+        return list(map(tuple, np.searchsorted(used, verts).tolist()))
+    top = sorted(zip(relabel(tops), view.weights))
+    return LocalComplex(view.d, tuple(sorted(relabel(lows))),
+                        tuple(t for t, _ in top), tuple(w for _, w in top))
 
 
 @dataclass(frozen=True)
@@ -171,17 +152,6 @@ def make_cocycle_ratio(M: int) -> Callable[[LocalComplex], float]:
     return g
 
 
-_SINGLETON_CACHE = {}
-
-
-def _singleton_value(lf: LocalFunctional, d: int) -> float:
-    key = (lf.name, lf.M, d)
-    if key not in _SINGLETON_CACHE:
-        single = LocalComplex(d, (tuple(range(d)),), (), ())
-        _SINGLETON_CACHE[key] = float(lf.g(single))
-    return _SINGLETON_CACHE[key]
-
-
 def local_statistic_terms(X: WeightedComplex,
                           lf: LocalFunctional) -> List[float]:
     """g((X, sigma)_M) for every (d-1)-simplex sigma of the full skeleton.
@@ -189,16 +159,14 @@ def local_statistic_terms(X: WeightedComplex,
     Faces of degree zero all see the same singleton complex, so only faces
     covered by a present d-simplex are visited explicitly.
     """
-    covered = set()
-    for r in X.present:
-        tau = unrank_colex(int(r), X.d, X.n)
-        covered.update(rank_colex(f) for f in faces(tau))
+    covered = np.unique(X.face_rows).tolist()
     terms = []
-    for fr in sorted(covered):
-        sigma = unrank_colex(fr, X.d - 1, X.n)
-        terms.append(float(lf.g(_localize(m_ball(X, sigma, lf.M)))))
-    nf = math.comb(X.n, X.d)
-    terms.extend([_singleton_value(lf, X.d)] * (nf - len(covered)))
+    for fr in covered:
+        ball = m_ball(X, unrank_colex(fr, X.d - 1, X.n), lf.M)
+        terms.append(float(lf.g(_localize(ball))))
+    single = LocalComplex(X.d, (tuple(range(X.d)),), (), ())
+    terms.extend([float(lf.g(single))]
+                 * (math.comb(X.n, X.d) - len(covered)))
     return terms
 
 

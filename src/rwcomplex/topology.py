@@ -17,26 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .sampling import ModelParams
-from .simplices import (Simplex, SubComplexView, WeightedComplex, faces,
-                        rank_colex, unrank_colex)
-
-
-def _face_adjacency(X: WeightedComplex) -> Dict[int, List[Tuple[int, tuple]]]:
-    """face rank -> list of (d-simplex rank, ranks of its other faces)."""
-    adj: Dict[int, List[Tuple[int, tuple]]] = {}
-    for r in X.present:
-        tau = unrank_colex(int(r), X.d, X.n)
-        franks = [rank_colex(f) for f in faces(tau)]
-        for i, fr in enumerate(franks):
-            others = tuple(franks[:i] + franks[i + 1:])
-            adj.setdefault(fr, []).append((int(r), others))
-    return adj
+from .simplices import (Simplex, SubComplexView, WeightedComplex,
+                        face_rank_array, faces, rank_colex,
+                        unrank_colex_array)
 
 
 def bfs_distances(X: WeightedComplex, source_rank: int,
                   max_dist: Optional[int] = None) -> Dict[int, int]:
     """Minimal path lengths from a source (d-1)-simplex to every reached one."""
-    adj = _face_adjacency(X)
+    adj = X.face_adjacency
     dist = {source_rank: 0}
     queue = deque([source_rank])
     while queue:
@@ -44,12 +33,32 @@ def bfs_distances(X: WeightedComplex, source_rank: int,
         ds = dist[s]
         if max_dist is not None and ds >= max_dist:
             continue
-        for _, others in adj.get(s, ()):
-            for o in others:
+        for _, franks in adj.get(s, ()):
+            for o in franks:
                 if o not in dist:
                     dist[o] = ds + 1
                     queue.append(o)
     return dist
+
+
+def _view(X: WeightedComplex, ranks: List[int],
+          lower_faces: Optional[frozenset]) -> SubComplexView:
+    """The present d-simplices `ranks` (ascending) of X as a view, with
+    their weights and face rows taken from X."""
+    pos = np.searchsorted(X.present, np.asarray(ranks, dtype=np.int64))
+    return SubComplexView(X.n, X.d, tuple(ranks),
+                          tuple(X.weights[pos].tolist()), lower_faces,
+                          face_rows=X.face_rows[pos])
+
+
+def _center_faces(X: WeightedComplex, center: Sequence[int]) -> List[int]:
+    """Ranks of a center's (d-1)-simplices: itself, or its d+1 faces."""
+    c = tuple(center)
+    if len(c) == X.d:
+        return [rank_colex(c)]
+    if len(c) == X.d + 1:
+        return [rank_colex(f) for f in faces(c)]
+    raise ValueError("center must have dimension d-1 or d")
 
 
 def connected_within(X: WeightedComplex, sigma: Sequence[int],
@@ -72,26 +81,16 @@ def ball_k(X: WeightedComplex, center: Sequence[int], k: int) -> SubComplexView:
     A present d-simplex tau' belongs to the ball iff some face of tau' is at
     BFS distance <= k-1 from a center face.
     """
-    c = tuple(center)
-    if len(c) == X.d:
-        sources = [rank_colex(c)]
-    elif len(c) == X.d + 1:
-        sources = [rank_colex(f) for f in faces(c)]
-    else:
-        raise ValueError("center must have dimension d-1 or d")
+    sources = _center_faces(X, center)
     if k < 0:
         raise ValueError("k must be nonnegative")
     included = set()
     if k >= 1:
-        adj = _face_adjacency(X)
+        adj = X.face_adjacency
         for src in sources:
-            dist = bfs_distances(X, src, max_dist=k - 1)
-            for fr, dval in dist.items():
-                for tau_rank, _ in adj.get(fr, ()):
-                    included.add(tau_rank)
-    ranks = sorted(included)
-    weights = tuple(X.weight_of(r) for r in ranks)
-    return SubComplexView(X.n, X.d, tuple(ranks), weights, lower_faces=None)
+            for fr in bfs_distances(X, src, max_dist=k - 1):
+                included.update(r for r, _ in adj.get(fr, ()))
+    return _view(X, sorted(included), None)
 
 
 def m_ball(X: WeightedComplex, center: Sequence[int], M: int) -> SubComplexView:
@@ -102,28 +101,17 @@ def m_ball(X: WeightedComplex, center: Sequence[int], M: int) -> SubComplexView:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    c = tuple(center)
-    if len(c) == X.d:
-        sources = [c]
-    elif len(c) == X.d + 1:
-        sources = faces(c)
-    else:
-        raise ValueError("center must have dimension d-1 or d")
-    adj = _face_adjacency(X)
+    sources = _center_faces(X, center)
+    adj = X.face_adjacency
     included = set()
-    lower = set(rank_colex(s) for s in sources)
+    lower = set(sources)
     for src in sources:
-        dist = bfs_distances(X, rank_colex(src), max_dist=M - 1)
-        for fr, dval in dist.items():
-            for tau_rank, others in adj.get(fr, ()):
+        for fr in bfs_distances(X, src, max_dist=M - 1):
+            for tau_rank, franks in adj.get(fr, ()):
                 if tau_rank not in included:
                     included.add(tau_rank)
-                    lower.add(fr)
-                    lower.update(others)
-    ranks = sorted(included)
-    weights = tuple(X.weight_of(r) for r in ranks)
-    return SubComplexView(X.n, X.d, tuple(ranks), weights,
-                          lower_faces=frozenset(lower))
+                    lower.update(franks)
+    return _view(X, sorted(included), frozenset(lower))
 
 
 @dataclass(frozen=True)
@@ -149,7 +137,7 @@ class ComponentLabeling:
 
 def components(X: WeightedComplex) -> ComponentLabeling:
     """Strongly connected components of X (singletons counted, not listed)."""
-    adj = _face_adjacency(X)
+    adj = X.face_adjacency
     labels: Dict[int, int] = {}
     comp_faces: List[List[int]] = []
     comp_simplices: List[List[int]] = []
@@ -165,11 +153,11 @@ def components(X: WeightedComplex) -> ComponentLabeling:
         while queue:
             s = queue.popleft()
             face_list.append(s)
-            for tau_rank, others in adj.get(s, ()):
+            for tau_rank, franks in adj[s]:
                 if tau_rank not in seen_simplices:
                     seen_simplices.add(tau_rank)
                     simp_list.append(tau_rank)
-                for o in others:
+                for o in franks:
                     if o not in labels:
                         labels[o] = cid
                         queue.append(o)
@@ -184,10 +172,8 @@ def components(X: WeightedComplex) -> ComponentLabeling:
 def component_view(X: WeightedComplex, labeling: ComponentLabeling,
                    cid: int) -> SubComplexView:
     """One strongly connected component as an explicit-face subcomplex."""
-    ranks = labeling.comp_simplices[cid]
-    weights = tuple(X.weight_of(r) for r in ranks)
-    return SubComplexView(X.n, X.d, tuple(ranks), weights,
-                          lower_faces=frozenset(labeling.comp_faces[cid]))
+    return _view(X, labeling.comp_simplices[cid],
+                 frozenset(labeling.comp_faces[cid]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +217,9 @@ def connection_counts(n: int, d: int, k: int,
         raise ValueError("too many (d-1)-simplices for 32-bit frontiers")
 
     # face-mask of each d-simplex
-    face_masks = np.zeros(nd, dtype=np.uint32)
-    for r in range(nd):
-        tau = unrank_colex(r, d, n)
-        m = 0
-        for f in faces(tau):
-            m |= 1 << rank_colex(f)
-        face_masks[r] = m
+    franks = face_rank_array(unrank_colex_array(np.arange(nd), d, n), n)
+    face_masks = np.bitwise_or.reduce(
+        np.left_shift(np.uint32(1), franks.astype(np.uint32)), axis=1)
 
     src_bit = np.uint32(1 << rank_colex(sigma))
     dst_bit = np.uint32(1 << rank_colex(sigma_prime))

@@ -62,6 +62,18 @@ def test_exit_codes(tmp_path, capsys):
                for line in err.strip().splitlines())
 
 
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    import rwcomplex.cli
+
+    def exhausted(params, seed):
+        raise MemoryError("Unable to allocate 24.5 TiB")
+    monkeypatch.setattr(rwcomplex.cli, "sample_complex", exhausted)
+    assert main(["generate", "--n", "3000", "--d", "3", "--lambda", "1",
+                 "--seed", "1", "--out", str(tmp_path / "c.txt")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_parse_weights():
     w = parse_weights("exp:mean=2.5", 10)
     assert (w.kind, w.param) == ("exponential", 2.5)

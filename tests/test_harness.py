@@ -107,6 +107,7 @@ def test_csv_round_trip(tmp_path):
     record = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert record["summary"]["mean"] == summary.mean
     assert "wall_time" in record["meta"]
+    assert record["meta"]["version"] == "0.1.0"
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -106,6 +106,31 @@ def test_local_isolated_equals_isolated_count():
         assert local_statistic(X, lf) == float(isolated_count(X))
 
 
+def test_local_statistic_ignores_earlier_functionals_of_the_same_name():
+    # the singleton term belongs to g, not to the functional's name
+    params = ModelParams(8, 2, 0.1, WeightDistribution("constant", 1.0))
+    X = PairedSample(params, 1).complex()
+    assert isolated_count(X) > 0  # some faces see the singleton complex
+    make_statistic("local:isolated:1", params).evaluate(X)
+    seven = LocalFunctional("isolated", lambda loc: 7.0, 1)
+    assert local_statistic(X, seven) == 7.0 * math.comb(8, 2)
+
+
+def test_local_complex_weights_follow_their_simplices():
+    # (1,2,3) precedes (0,1,4) in rank order but not after relabeling
+    w = {(0, 1, 2): 1.0, (1, 2, 3): 2.0, (0, 1, 4): 3.0}
+    pairs = sorted((rank_colex(t), x) for t, x in w.items())
+    X = WeightedComplex(6, 2, np.array([r for r, _ in pairs]),
+                        np.array([x for _, x in pairs]))
+    seen = []
+
+    def g(loc):
+        seen.append(dict(zip(loc.top, loc.weights)))
+        return 0.0
+    local_statistic(X, LocalFunctional("weights", g, 3))
+    assert w in seen  # the ball around (1, 2) holds all three
+
+
 def test_cocycle_ratio_on_explicit_complexes():
     g = make_cocycle_ratio(M=5)
     single = LocalComplex(2, ((0, 1),), (), ())

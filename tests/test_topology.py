@@ -73,6 +73,26 @@ def test_bfs_equals_distinct_path_metric():
             assert got == oracle, (seed, dst)
 
 
+def test_face_index_built_once_per_complex(monkeypatch):
+    import rwcomplex.simplices as simplices
+    calls = []
+    unrank = simplices.unrank_colex_array
+
+    def counted(*args):
+        calls.append(args)
+        return unrank(*args)
+    monkeypatch.setattr(simplices, "unrank_colex_array", counted)
+    X = random_complex(7, 2, 12, seed=4)
+    tau = unrank_colex(int(X.present[0]), 2, 7)
+    bfs_distances(X, rank_colex(tau[:2]))
+    ball_k(X, tau, 2)
+    m_ball(X, tau[1:], 2)
+    lab = components(X)
+    for cid in range(len(lab.comp_faces)):
+        component_view(X, lab, cid)
+    assert len(calls) == 1
+
+
 def test_connected_within_basics():
     X = random_complex(6, 2, 4, seed=1)
     sigma, sigma_prime = canonical_disjoint_pair(6, 2)

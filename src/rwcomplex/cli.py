@@ -15,6 +15,7 @@ from typing import List, Optional
 
 from . import bounds, harness, topology
 from .harness import ExperimentConfig
+from .perturbation import estimate_gamma
 from .sampling import ModelParams, WeightDistribution, sample_complex
 from .simplices import read_complex, write_complex
 from .statistics import make_statistic
@@ -240,16 +241,12 @@ def _cmd_stat(args) -> int:
 
 
 def _cmd_clt(args) -> int:
+    """clt and variance: one summary of replicated values."""
     config = _config_from_args(args)
-    summary = harness.run_clt(config)
-    _emit({"config": config.to_json(), "summary": summary.to_json()}, None)
-    return 0
-
-
-def _cmd_variance(args) -> int:
-    config = _config_from_args(args)
-    summary = harness.run_variance_check(config)
-    _emit({"config": config.to_json(), "summary": summary.to_json()}, None)
+    run = harness.run_variance_check if args.command == "variance" \
+        else harness.run_clt
+    _emit({"config": config.to_json(), "summary": run(config).to_json()},
+          None)
     return 0
 
 
@@ -261,7 +258,6 @@ def _cmd_stabilization(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    from .perturbation import estimate_gamma
     p = _resolve_p(args.n, args.p, args.lam)
     params = ModelParams(args.n, args.d, p,
                          WeightDistribution("constant", 1.0))
@@ -307,7 +303,7 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "stat": _cmd_stat,
     "clt": _cmd_clt,
-    "variance": _cmd_variance,
+    "variance": _cmd_clt,
     "stabilization": _cmd_stabilization,
     "gamma": _cmd_gamma,
     "bound": _cmd_bound,

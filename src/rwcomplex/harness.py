@@ -14,17 +14,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, bounds, rng
-from .perturbation import (StabilizationEstimate, estimate_addone_mean,
-                           estimate_delta_tilde, estimate_gamma,
-                           estimate_rho_probe, estimate_variance_and_J)
-from .sampling import ModelParams, PairedSample, sample_complex
-from .simplices import simplex_table
-from .statistics import make_statistic, nn_total
+from .perturbation import (estimate_addone_mean, estimate_delta_tilde,
+                           estimate_gamma, estimate_rho_probe,
+                           estimate_variance_and_J, moments, variance_se)
+from .sampling import ModelParams, PairedSample, exp_mean_n
+from .statistics import make_statistic, nn_face
 
 KOLMOGOROV_95 = 1.36
 
@@ -44,11 +43,10 @@ def kolmogorov_distance(samples: Sequence[float]) -> float:
     m = xs.size
     if m == 0:
         raise ValueError("empty sample")
-    d = 0.0
-    for i, x in enumerate(xs, start=1):
-        phi = normal_cdf(float(x))
-        d = max(d, i / m - phi, phi - (i - 1) / m)
-    return d
+    phi = np.fromiter(map(normal_cdf, xs.tolist()), np.float64, m)
+    i = np.arange(1, m + 1)
+    return max(0.0, float(np.max(i / m - phi)),
+               float(np.max(phi - (i - 1) / m)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,45 +133,25 @@ def _parallel_values(fn: Callable[[int], float], replicas: int,
 
 
 def _replica_fn(config: ExperimentConfig) -> Callable[[int], float]:
-    params = config.params
-    name = config.statistic
-    if name == "nn" and params.p == 1.0:
-        def fn(i: int) -> float:
-            return nn_total(PairedSample(params, rng.child_seed(config.seed,
-                                                                i)))
-        return fn
-    if name == "isolated":
-        tbl = simplex_table(params.n, params.d)
-        nd = tbl.num_d
-        nf = tbl.num_faces
-        all_ranks = np.arange(nd, dtype=np.int64)
-
-        def fn(i: int) -> float:
-            s = PairedSample(params, rng.child_seed(config.seed, i))
-            present = np.flatnonzero(s.presence(all_ranks))
-            if not present.size:
-                return float(nf)
-            return float(nf - np.unique(tbl.face_ranks[present]).size)
-        return fn
-    stat = make_statistic(name, params)
+    """fn(i) = the statistic of replica i, sampled at child seed i."""
+    stat = make_statistic(config.statistic, config.params)
 
     def fn(i: int) -> float:
-        return stat.evaluate(sample_complex(params,
-                                            rng.child_seed(config.seed, i)))
+        return stat.sample_value(
+            PairedSample(config.params, rng.child_seed(config.seed, i)))
     return fn
 
 
+# extra_fn(variance, centered replicas) -> run-specific summary fields
+ExtraFn = Callable[[float, np.ndarray], Dict[str, float]]
+
+
 def _summarize(values: np.ndarray, config: ExperimentConfig,
-               extra: Optional[Dict[str, float]] = None,
-               csv_path: Optional[str] = None,
+               extra_fn: Optional[ExtraFn] = None,
                wall_time: float = 0.0) -> RunSummary:
+    """Moments, skew proxy and Kolmogorov distance of the replicas."""
     m = values.size
-    mean = float(np.sum(values) / m)
-    if np.all(values == values[0]):
-        centered = np.zeros(m)
-    else:
-        centered = values - mean
-    variance = float(np.sum(centered ** 2) / (m - 1))
+    mean, variance, centered = moments(values)
     degenerate = variance <= 0.0
     if degenerate:
         skew = 0.0
@@ -182,9 +160,9 @@ def _summarize(values: np.ndarray, config: ExperimentConfig,
         sd = math.sqrt(variance)
         skew = float(np.sum(np.abs(centered) ** 3) / m) / sd ** 3
         dk = kolmogorov_distance(centered / sd)
+    extra = extra_fn(variance, centered) if extra_fn is not None else {}
     return RunSummary(mean, variance, skew, dk, KOLMOGOROV_95 / math.sqrt(m),
-                      m, config.seed, degenerate, csv_path, wall_time,
-                      dict(extra or {}))
+                      m, config.seed, degenerate, None, wall_time, extra)
 
 
 def write_replicas_csv(path, values: np.ndarray) -> None:
@@ -222,14 +200,26 @@ def _write_outputs(config: ExperimentConfig, values: np.ndarray,
     return summary
 
 
-def run_clt(config: ExperimentConfig) -> RunSummary:
-    """Replicate the statistic, standardize by sample moments, and measure
-    the empirical Kolmogorov distance to N(0, 1)."""
+def _run(config: ExperimentConfig,
+         extra_fn: Optional[ExtraFn] = None) -> RunSummary:
+    """The one replicate -> summarize -> write path of every harness run."""
     t0 = time.perf_counter()
     values = _parallel_values(_replica_fn(config), config.replicas,
                               config.workers)
-    summary = _summarize(values, config, wall_time=time.perf_counter() - t0)
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        i = int(nan[0])
+        raise ValueError("replica %d (seed %d) is NaN"
+                         % (i, rng.child_seed(config.seed, i)))
+    summary = _summarize(values, config, extra_fn,
+                         wall_time=time.perf_counter() - t0)
     return _write_outputs(config, values, summary)
+
+
+def run_clt(config: ExperimentConfig) -> RunSummary:
+    """Replicate the statistic, standardize by sample moments, and measure
+    the empirical Kolmogorov distance to N(0, 1)."""
+    return _run(config)
 
 
 def run_variance_check(config: ExperimentConfig) -> RunSummary:
@@ -237,43 +227,31 @@ def run_variance_check(config: ExperimentConfig) -> RunSummary:
     total nearest-weight variance (1 + d/2) C(n, d)."""
     if config.statistic != "nn":
         raise ValueError("variance check is defined for the nn statistic")
-    t0 = time.perf_counter()
-    values = _parallel_values(_replica_fn(config), config.replicas,
-                              config.workers)
-    m = values.size
-    mean = float(np.sum(values) / m)
-    centered = values - mean
-    var = float(np.sum(centered ** 2) / (m - 1))
-    m4 = float(np.sum(centered ** 4) / m)
-    se_var = math.sqrt(max(m4 - var ** 2, 0.0) / m)
     target = bounds.nn_variance_asymptote(config.params.n, config.params.d)
-    extra = {"variance_target": target,
-             "variance_ratio": var / target,
-             "variance_ratio_band3": 3.0 * se_var / target}
-    summary = _summarize(values, config, extra=extra,
-                         wall_time=time.perf_counter() - t0)
-    return _write_outputs(config, values, summary)
+
+    def extra_fn(var: float, centered: np.ndarray) -> Dict[str, float]:
+        return {"variance_target": target,
+                "variance_ratio": var / target,
+                "variance_ratio_band3":
+                    3.0 * variance_se(centered, var) / target}
+    return _run(config, extra_fn)
 
 
 def run_nn_face_moments(n: int, d: int, replicas: int,
                         seed: int) -> Dict[str, float]:
     """Empirical mean/variance of the nearest face-weight at one fixed
     (d-1)-simplex, against the exact per-face law."""
-    from .sampling import exp_mean_n
     params = exp_mean_n(n, d)
     sigma = tuple(range(d))
-    from .statistics import nn_face
     values = np.empty(replicas)
     for i in range(replicas):
         values[i] = nn_face(PairedSample(params, rng.child_seed(seed, i)),
                             sigma)
-    m = replicas
-    mean = float(np.sum(values) / m)
-    var = float(np.sum((values - mean) ** 2) / (m - 1))
+    mean, var, _ = moments(values)
     return {"mean": mean, "variance": var,
             "mean_exact": bounds.nn_mean_face(n, d),
             "variance_exact": bounds.nn_var_face(n, d),
-            "replicas": m, "seed": seed}
+            "replicas": replicas, "seed": seed}
 
 
 def run_stabilization(config: ExperimentConfig, k: int) -> Dict:
@@ -343,8 +321,8 @@ def run_cov_nn(n: int, d: int, replicas: int, inner: int,
         z = np.minimum(x, w) * np.minimum(y, w) \
             - np.minimum(x, w1) * np.minimum(y, w2)
         vals[r] = np.sum(z) / inner
-    mean = float(np.sum(vals) / replicas)
-    se = float(np.std(vals, ddof=1) / math.sqrt(replicas))
+    mean, var, _ = moments(vals)
+    se = math.sqrt(var) / math.sqrt(replicas)
     exact = bounds.nn_cov_exact(n, d)
     return {"cov": mean, "std_error": se,
             "scaled_2n": 2.0 * n * mean,

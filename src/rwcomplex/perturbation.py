@@ -114,11 +114,25 @@ class StabilizationEstimate:
         return out
 
 
-def _mean_se(values: np.ndarray) -> Tuple[float, float]:
+def moments(values: np.ndarray) -> Tuple[float, float, np.ndarray]:
+    """Mean, unbiased variance and centered values of a sample, summed in
+    numpy's pairwise order; an exactly constant sample has exactly zero
+    variance."""
     m = values.size
     mean = float(np.sum(values) / m)
-    var = float(np.sum((values - mean) ** 2) / (m - 1))
-    return mean, math.sqrt(var / m)
+    centered = values - mean if np.any(values != values[0]) else np.zeros(m)
+    return mean, float(np.sum(centered ** 2) / (m - 1)), centered
+
+
+def variance_se(centered: np.ndarray, var: float) -> float:
+    """Plug-in standard error of a sample variance via the fourth moment."""
+    m4 = float(np.sum(centered ** 4) / centered.size)
+    return math.sqrt(max(m4 - var ** 2, 0.0) / centered.size)
+
+
+def _mean_se(values: np.ndarray) -> Tuple[float, float]:
+    mean, var, _ = moments(values)
+    return mean, math.sqrt(var / values.size)
 
 
 def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
@@ -223,11 +237,9 @@ def estimate_rho_probe(f: Statistic, params: ModelParams, k: int,
             * local_add_one_cost(f, XF, tau_rank, w_tau, k)
         b[r] = local_add_one_cost(f, X, tp_rank, w_tp, k) \
             * local_add_one_cost(f, XFp, tp_rank, w_tp, k)
-    ma = float(np.sum(a) / replicas)
-    mb = float(np.sum(b) / replicas)
-    prod = (a - ma) * (b - mb)
+    prod = moments(a)[2] * moments(b)[2]
     cov = float(np.sum(prod) / (replicas - 1))
-    se = float(np.std(prod, ddof=1) / math.sqrt(replicas))
+    se = math.sqrt(moments(prod)[1]) / math.sqrt(replicas)
     return StabilizationEstimate(
         "rho_probe", cov, se, replicas, params, k=k, seed=seed,
         conditioning="probe at F=%s, F'=%s (lower-bound witness)"
@@ -264,14 +276,9 @@ def estimate_variance_and_J(f: Statistic, params: ModelParams, replicas: int,
         X = sample_complex(params, rng.child_seed(seed, r))
         vals[r] = f.evaluate(X)
     m = replicas
-    mean = float(np.sum(vals) / m)
-    # an exactly constant sample must report exactly zero variance
-    centered = vals - mean if np.any(vals != vals[0]) else np.zeros(m)
-    var = float(np.sum(centered ** 2) / (m - 1))
-    # plug-in standard error of the sample variance via the fourth moment
-    m4 = float(np.sum(centered ** 4) / m)
-    se_var = math.sqrt(max(m4 - var ** 2, 0.0) / m)
-    var_est = StabilizationEstimate("variance", var, se_var, m, params,
+    _, var, centered = moments(vals)
+    var_est = StabilizationEstimate("variance", var,
+                                    variance_se(centered, var), m, params,
                                     seed=seed, conditioning="f=" + f.name)
     if f.lipschitz_H is not None:
         j = max(1.0, float(f.lipschitz_H) ** 6)

@@ -17,6 +17,8 @@ import numpy as np
 from . import rng
 from .simplices import WeightedComplex
 
+SWEEP_BLOCK = 1 << 13    # ranks per block of the presence sweep
+
 
 @dataclass(frozen=True)
 class WeightDistribution:
@@ -181,13 +183,15 @@ class PairedSample:
             if not isinstance(F, np.ndarray) else np.unique(F)
         if fset.size and (fset[0] < 0 or fset[-1] >= nd):
             raise ValueError("resample rank out of range")
-        all_ranks = np.arange(nd, dtype=np.int64)
-        bits = self.presence(all_ranks)
+        # in blocks, so the allocator reuses the small temporaries; it maps
+        # and page-faults sweep-sized ones anew on every sweep
+        present = np.concatenate([
+            lo + np.flatnonzero(self.presence(np.arange(
+                lo, min(lo + SWEEP_BLOCK, nd), dtype=np.int64)))
+            for lo in range(0, nd, SWEEP_BLOCK)])
         if fset.size:
-            bits_p = self.presence(fset, primed=True)
-            bits[fset] = bits_p
-        present = np.flatnonzero(bits).astype(np.int64)
-        if fset.size:
+            present = np.union1d(np.setdiff1d(present, fset),
+                                 fset[self.presence(fset, primed=True)])
             on_f = np.isin(present, fset)
             w = np.empty(present.size)
             w[~on_f] = self.weight_values(present[~on_f])

@@ -80,7 +80,10 @@ def f_alpha(X: WeightedComplex, alpha: float) -> float:
 
 def isolated_count(X: WeightedComplex) -> int:
     """Number of (d-1)-simplices with no present cofacet."""
-    return math.comb(X.n, X.d) - int(np.unique(X.face_rows).size)
+    # distinct covered faces, counted by a sort (np.unique is ~10x slower)
+    r = np.sort(X.face_rows, axis=None)
+    covered = int(r.size > 0) + int(np.count_nonzero(r[1:] != r[:-1]))
+    return math.comb(X.n, X.d) - covered
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +216,25 @@ class Statistic:
     multisets under exact (fsum) accumulation, so contributions that agree
     between two complexes cancel exactly instead of leaving float residue;
     this is what makes the two-scale identities hold bit-exactly.
+
+    `sample_fn`, when set, evaluates a sample without materializing its
+    complex and agrees with fn(s.complex()) up to summation order.
     """
 
     name: str
     fn: Callable[[WeightedComplex], float]
     lipschitz_H: Optional[float]
     terms: Optional[Callable[[WeightedComplex], Sequence[float]]] = None
+    sample_fn: Optional[Callable[[PairedSample], float]] = None
 
     def evaluate(self, X: WeightedComplex) -> float:
         return float(self.fn(X))
+
+    def sample_value(self, s: PairedSample) -> float:
+        """The statistic of the sample's primary complex."""
+        if self.sample_fn is not None:
+            return float(self.sample_fn(s))
+        return self.evaluate(s.complex())
 
 
 BUILTIN_LOCAL_G = {
@@ -240,7 +253,8 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
     parts = spec.split(":")
     head = parts[0]
     if head == "nn" and len(parts) == 1:
-        return Statistic("nn", nn_total_complex, None, terms=nn_terms)
+        return Statistic("nn", nn_total_complex, None, terms=nn_terms,
+                         sample_fn=nn_total if params.p == 1.0 else None)
     if head == "nn-alpha" and len(parts) == 2:
         alpha = float(parts[1])
         if alpha <= 0:

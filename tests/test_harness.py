@@ -1,17 +1,23 @@
 import json
 import math
+import re
 import statistics as pystats
+import sys
 
 import numpy as np
 import pytest
 
+from rwcomplex import harness, rng
+from rwcomplex.cli import main
 from rwcomplex.harness import (ExperimentConfig, RunSummary,
                                kolmogorov_distance, normal_cdf,
                                read_replicas_csv, run_clt, run_cov_nn,
                                run_nn_face_moments, run_stabilization,
                                run_variance_check, write_replicas_csv,
                                _summarize)
-from rwcomplex.sampling import ModelParams, WeightDistribution, exp_mean_n
+from rwcomplex.sampling import (ModelParams, WeightDistribution, exp_mean_n,
+                                sample_complex)
+from rwcomplex.statistics import Statistic, isolated_count
 
 
 def _config(**kw):
@@ -164,3 +170,50 @@ def test_degenerate_statistic_flagged():
     s = run_clt(config)
     assert s.degenerate and s.d_kolmogorov is None
     assert s.variance == 0.0
+
+
+def test_replica_fn_is_row_i_of_the_replica_csv(tmp_path):
+    # the benchmark's tracer wraps _replica_fn(config) and calls the result
+    # once per replica index; this pins that seam
+    cocycle = ModelParams(20, 2, 1.5 / 20, WeightDistribution("constant", 1.0))
+    for name, params in (("nn", exp_mean_n(12, 2)), ("cocycle:3", cocycle)):
+        config = _config(params=params, statistic=name, replicas=8,
+                         outputs=str(tmp_path / name))
+        values = read_replicas_csv(run_clt(config).csv_path)
+        fn = harness._replica_fn(config)
+        assert [fn(i) for i in range(config.replicas)] == values.tolist()
+
+
+def test_isolated_replicas_never_build_the_simplex_table(monkeypatch):
+    def forbidden(n, d):
+        raise AssertionError("simplex_table(%d, %d) built" % (n, d))
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("rwcomplex") \
+                and hasattr(mod, "simplex_table"):
+            monkeypatch.setattr(mod, "simplex_table", forbidden)
+    params = ModelParams(30, 2, 2.0 / 30, WeightDistribution("constant", 1.0))
+    config = _config(params=params, statistic="isolated", replicas=6)
+    s = run_clt(config)
+    want = [isolated_count(sample_complex(params, rng.child_seed(5, i)))
+            for i in range(6)]
+    assert s.mean == float(np.sum(np.array(want, dtype=float)) / 6)
+
+
+def test_nan_replica_is_reported_at_the_replica(monkeypatch, capsys):
+    params = ModelParams(12, 2, 0.2, WeightDistribution("constant", 1.0))
+
+    def odd_is_nan(X):
+        return float("nan") if X.num_present % 2 else 0.0
+    monkeypatch.setattr(harness, "make_statistic",
+                        lambda spec, p: Statistic("odd", odd_is_nan, None))
+    seeds = [rng.child_seed(5, i) for i in range(20)]
+    i = next(i for i, c in enumerate(seeds)
+             if sample_complex(params, c).num_present % 2)
+    message = "replica %d (seed %d) is NaN" % (i, seeds[i])
+    config = _config(params=params, statistic="cocycle:3", replicas=20)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_clt(config)
+    assert main(["clt", "--n", "12", "--d", "2", "--p", "0.2", "--stat",
+                 "cocycle:3", "--replicas", "20", "--seed", "5"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: " + message]

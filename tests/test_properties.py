@@ -1,5 +1,6 @@
-"""Property tests: the vectorized colex routines and the per-complex face
-index against the scalar and table-based references they replaced."""
+"""Property tests: the vectorized colex routines, the per-complex face
+index and the sample-level statistic evaluators against the scalar,
+table-based and complex-based references they replaced."""
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwcomplex.cohomology import cocycle_dim
+from rwcomplex.sampling import ModelParams, PairedSample, WeightDistribution
 from rwcomplex.simplices import (WeightedComplex, face_rank_array, faces,
                                  rank_colex, simplex_table, unrank_colex,
                                  unrank_colex_array)
 from rwcomplex.statistics import (cocycle_count_bounded, f_alpha_faces,
-                                  isolated_count, nn_terms)
+                                  isolated_count, make_statistic, nn_terms)
 from rwcomplex.topology import bfs_distances, component_view, components
 
 from test_topology import distinct_path_distance
@@ -110,3 +112,32 @@ def test_face_statistics_match_table_lookups(X, alpha):
             nn_terms(X)
     else:
         assert nn_terms(X) == nearest.tolist()
+
+
+BUILTIN_SPECS = ["nn", "nn-alpha:0.5", "nn-alpha:4", "isolated", "cocycle:1",
+                 "cocycle:5", "betti:3", "local:isolated:1",
+                 "local:cocycle-ratio:2"]
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+@settings(SETTINGS, max_examples=15)
+@given(st.integers(3, 8), st.integers(1, 3), st.sampled_from([0.15, 0.4, 1.0]),
+       st.integers(0, 2 ** 63 - 1))
+def test_sample_value_matches_evaluate_of_the_complex(spec, n, d, p, seed):
+    params = ModelParams(n, min(d, n - 1), p,
+                         WeightDistribution("exponential", float(n)))
+    stat = make_statistic(spec, params)
+    s = PairedSample(params, seed)
+    if spec == "nn" and p == 1.0:
+        # pairwise sum of the face minima against their fsum
+        assert stat.sample_fn is not None
+        assert math.isclose(stat.sample_value(s), stat.evaluate(s.complex()),
+                            rel_tol=1e-12)
+        return
+    try:
+        want = stat.evaluate(s.complex())
+    except ValueError:     # nn with a face of degree zero
+        with pytest.raises(ValueError):
+            stat.sample_value(s)
+        return
+    assert stat.sample_value(s) == want

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from . import rng
-from .simplices import WeightedComplex
+from .simplices import WeightedComplex, d_simplex_count
 
 SWEEP_BLOCK = 1 << 13    # ranks per block of the presence sweep
 
@@ -178,7 +178,7 @@ class PairedSample:
 
     def resampled(self, F: Iterable[int]) -> WeightedComplex:
         """X^F: the coupled complex using (b', w') on F and (b, w) elsewhere."""
-        nd = self.params.num_d_simplices
+        nd = d_simplex_count(self.params.n, self.params.d)
         fset = np.unique(np.asarray(list(F), dtype=np.int64)) \
             if not isinstance(F, np.ndarray) else np.unique(F)
         if fset.size and (fset[0] < 0 or fset[-1] >= nd):

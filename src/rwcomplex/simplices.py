@@ -204,19 +204,31 @@ class WeightedComplex:
         if i < self.present.size and self.present[i] == rank:
             w = self.weights.copy()
             w[i] = weight
-            return WeightedComplex(self.n, self.d, self.present, w)
-        return WeightedComplex(self.n, self.d,
-                               np.insert(self.present, i, rank),
-                               np.insert(self.weights, i, weight))
+            return _indexed(self.n, self.d, self.present, w, self.face_rows)
+        tau = unrank_colex_array([rank], self.d, self.n)
+        return _indexed(self.n, self.d, np.insert(self.present, i, rank),
+                        np.insert(self.weights, i, weight),
+                        np.insert(self.face_rows, i,
+                                  face_rank_array(tau, self.n), axis=0))
 
     def without_simplex(self, rank: int) -> "WeightedComplex":
         """The complex X - tau (no-op if tau is absent)."""
         i = int(np.searchsorted(self.present, rank))
         if i >= self.present.size or self.present[i] != rank:
             return self
-        return WeightedComplex(self.n, self.d,
-                               np.delete(self.present, i),
-                               np.delete(self.weights, i))
+        return _indexed(self.n, self.d, np.delete(self.present, i),
+                        np.delete(self.weights, i),
+                        np.delete(self.face_rows, i, axis=0))
+
+
+def _indexed(n: int, d: int, present, weights,
+             rows: np.ndarray) -> WeightedComplex:
+    """A complex whose face index is `rows`, derived from another
+    complex's index instead of being built from scratch."""
+    X = WeightedComplex(n, d, present, weights)
+    rows.setflags(write=False)
+    object.__setattr__(X, "_face_rows", rows)
+    return X
 
 
 def degree(X: WeightedComplex, sigma: Sequence[int]) -> int:
@@ -269,7 +281,7 @@ class SubComplexView:
         order = np.argsort(np.asarray(self.included, dtype=np.int64))
         ranks = np.asarray(self.included, dtype=np.int64)[order]
         w = np.asarray(self.weights, dtype=np.float64)[order]
-        return WeightedComplex(self.n, self.d, ranks, w)
+        return _indexed(self.n, self.d, ranks, w, self.face_rows[order])
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +349,22 @@ class SimplexTable:
         return self.cofacet_ranks.shape[0]
 
 
+# Largest C(n, d+1) that a presence sweep or a simplex table may cover
+MAX_D_SIMPLICES = 1 << 28
+
+
+def d_simplex_count(n: int, d: int) -> int:
+    """C(n, d+1), refused with ValueError past MAX_D_SIMPLICES."""
+    nd = math.comb(n, d + 1)
+    if nd > MAX_D_SIMPLICES:
+        raise ValueError("C(%d, %d) = %d d-simplices exceeds the limit of %d"
+                         % (n, d + 1, nd, MAX_D_SIMPLICES))
+    return nd
+
+
 @lru_cache(maxsize=32)
 def simplex_table(n: int, d: int) -> SimplexTable:
-    verts = unrank_colex_array(np.arange(math.comb(n, d + 1)), d, n)
+    verts = unrank_colex_array(np.arange(d_simplex_count(n, d)), d, n)
     face_ranks = face_rank_array(verts, n)
     order = np.argsort(face_ranks.ravel(), kind="stable")
     nf = math.comb(n, d)

@@ -13,11 +13,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cohomology import coboundary_rows, cocycle_dim, rank_pm1
+from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
 from .simplices import (SubComplexView, WeightedComplex, cofacet_ranks, faces,
                         simplex_table, unrank_colex, unrank_colex_array)
-from .topology import component_view, components, m_ball
+from .topology import component_labels, m_ball
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +183,30 @@ def local_statistic(X: WeightedComplex, lf: LocalFunctional) -> float:
 
 def cocycle_count_bounded(X: WeightedComplex, M: int) -> int:
     """Sum of dim Z^{d-1}(C) over strongly connected components C with
-    f_{d-1}(C) <= M; singleton components contribute 1 each."""
+    f_{d-1}(C) <= M; singleton components contribute 1 each.
+
+    dim Z^{d-1}(C) = f_{d-1}(C) - f_d(C) + dim ker(boundary on C), and a
+    d-cycle is zero on every simplex with a face of degree 1, so peeling
+    such simplices leaves the kernel alone: it is |core| - rank(core).
+    """
     if M < 1:
         raise ValueError("M must be >= 1")
-    lab = components(X)
-    total = lab.num_singletons
-    for cid, faces_list in enumerate(lab.comp_faces):
-        if len(faces_list) <= M:
-            total += cocycle_dim(component_view(X, lab, cid))
+    faces_, rows, cid = component_labels(X)
+    small = np.bincount(cid) <= M
+    core = np.flatnonzero(small[cid[rows[:, 0]]])
+    total = math.comb(X.n, X.d) - faces_.size + int(small[cid].sum()) \
+        - core.size
+    while core.size:
+        deg = np.bincount(rows[core].ravel(), minlength=faces_.size)
+        keep = (deg[rows[core]] > 1).all(axis=1)
+        if keep.all():
+            break
+        core = core[keep]
+    comp = cid[rows[core, 0]]
+    for c in np.unique(comp):
+        part = rows[core[comp == c]]
+        total += part.shape[0] - rank_pm1(
+            coboundary_rows(part.tolist(), np.unique(part).tolist()))
     return int(total)
 
 

@@ -135,38 +135,43 @@ class ComponentLabeling:
         return len(self.comp_faces) + self.num_singletons
 
 
+def component_labels(X: WeightedComplex
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(faces, rows, cid): the covered face ranks ascending, X.face_rows as
+    indices into `faces`, and each covered face's strong component id,
+    numbered by first appearance in face_rows read row by row."""
+    faces_, rows = np.unique(X.face_rows, return_inverse=True)
+    # the inverse's shape differs across numpy versions
+    rows = rows.reshape(X.face_rows.shape)
+    lab = np.arange(faces_.size)
+    while rows.size:
+        # min-label propagation through the simplices, then pointer jumping
+        new = lab.copy()
+        np.minimum.at(new, rows, new[rows].min(axis=1, keepdims=True))
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    roots, first = np.unique(lab[rows[:, 0]], return_index=True)
+    cid_of = np.empty(faces_.size, dtype=np.int64)
+    cid_of[roots[np.argsort(first)]] = np.arange(roots.size)
+    return faces_, rows, cid_of[lab]
+
+
 def components(X: WeightedComplex) -> ComponentLabeling:
     """Strongly connected components of X (singletons counted, not listed)."""
-    adj = X.face_adjacency
-    labels: Dict[int, int] = {}
-    comp_faces: List[List[int]] = []
-    comp_simplices: List[List[int]] = []
-    seen_simplices = set()
-    for start in adj:
-        if start in labels:
-            continue
-        cid = len(comp_faces)
-        face_list = []
-        simp_list = []
-        queue = deque([start])
-        labels[start] = cid
-        while queue:
-            s = queue.popleft()
-            face_list.append(s)
-            for tau_rank, franks in adj[s]:
-                if tau_rank not in seen_simplices:
-                    seen_simplices.add(tau_rank)
-                    simp_list.append(tau_rank)
-                for o in franks:
-                    if o not in labels:
-                        labels[o] = cid
-                        queue.append(o)
-        comp_faces.append(sorted(face_list))
-        comp_simplices.append(sorted(simp_list))
-    covered = len(labels)
-    num_singletons = math.comb(X.n, X.d) - covered
-    return ComponentLabeling(X.n, X.d, labels, comp_faces, comp_simplices,
-                             num_singletons)
+    faces_, rows, cid = component_labels(X)
+
+    def split(ranks, comp):
+        # every component has a face and a simplex, so bincount has one
+        # entry per component; the part past the final cut is empty
+        cuts = np.cumsum(np.bincount(comp))
+        return [part.tolist() for part in
+                np.split(ranks[np.argsort(comp, kind="stable")], cuts)[:-1]]
+    return ComponentLabeling(
+        X.n, X.d, dict(zip(faces_.tolist(), cid.tolist())),
+        split(faces_, cid), split(X.present, cid[rows[:, 0]]),
+        math.comb(X.n, X.d) - faces_.size)
 
 
 def component_view(X: WeightedComplex, labeling: ComponentLabeling,

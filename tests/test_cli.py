@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,21 @@ def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
                  "--seed", "1", "--out", str(tmp_path / "c.txt")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_oversized_instance_fails_fast(tmp_path):
+    import rwcomplex
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rwcomplex.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rwcomplex.cli", "generate", "--n", "3000",
+         "--d", "3", "--lambda", "1", "--seed", "1",
+         "--out", str(tmp_path / "c.txt")],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 2
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: C(3000, 4) = ")
+    assert not (tmp_path / "c.txt").exists()
 
 
 def test_parse_weights():

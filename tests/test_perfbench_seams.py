@@ -1,0 +1,41 @@
+"""Every package name that perfbench/tracing.py wraps or counts by name
+must exist where it looks for it: a renamed or deleted function would
+otherwise zero a per-layer metric without any error."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load_tracing()
+
+NAMES = sorted(
+    {"topology." + f for f in tracing.TOPOLOGY_CALLS}
+    | {"topology." + f for f in tracing.ADJACENCY_BUILDERS}
+    | set(tracing.HOOKS) | set(tracing.COUNTED)
+    | {"perturbation." + f for f in tracing.PERTURBATION_ESTIMATES.values()}
+    | {"harness._replica_fn"})
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_traced_name_exists(name):
+    # `install` wraps a layer module's own functions and the methods a
+    # class defines itself, so look the name up in those namespaces
+    layer, *path = name.split(".")
+    owner = importlib.import_module("rwcomplex." + layer)
+    for attr in path[:-1]:
+        owner = vars(owner)[attr]
+    fn = vars(owner).get(path[-1])
+    assert callable(fn), name
+    assert fn.__module__ == "rwcomplex." + layer, name

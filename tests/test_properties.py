@@ -16,7 +16,7 @@ from rwcomplex.statistics import (cocycle_count_bounded, f_alpha_faces,
                                   isolated_count, make_statistic, nn_terms)
 from rwcomplex.topology import bfs_distances, component_view, components
 
-from test_topology import distinct_path_distance
+from test_topology import bfs_components, distinct_path_distance
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -32,11 +32,13 @@ def ranks_of(draw, max_n=40, max_k=5):
 
 
 @st.composite
-def complexes(draw, max_n=9, max_d=3, max_present=14):
-    n = draw(st.integers(3, max_n))
-    d = draw(st.integers(1, min(n - 1, max_d)))
+def complexes(draw, max_n=9, min_d=1, max_d=3, min_present=0,
+              max_present=14):
+    n = draw(st.integers(min_d + 2, max_n))
+    d = draw(st.integers(min_d, min(n - 1, max_d)))
     nd = math.comb(n, d + 1)
     ranks = sorted(draw(st.sets(st.integers(0, nd - 1),
+                                min_size=min(nd, min_present),
                                 max_size=min(nd, max_present))))
     weights = draw(st.lists(st.floats(0.0, 5.0), min_size=len(ranks),
                             max_size=len(ranks)))
@@ -80,10 +82,36 @@ def test_index_bfs_matches_distinct_path_metric(X, data):
             distinct_path_distance(X, src, dst, max_len=6)
 
 
+# n <= 8 and d = 2 with at least 10 present triangles: dense enough that
+# peeling leaves nonempty cores (closed surfaces, tetrahedron boundaries)
+dense_complexes = complexes(max_n=8, min_d=2, max_d=2, min_present=10,
+                            max_present=24)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@SETTINGS
+@given(st.data())
+def test_components_match_bfs_reference(d, data):
+    X = data.draw(complexes(min_d=d, max_d=d))
+    assert components(X) == bfs_components(X)
+
+
 @SETTINGS
 @given(complexes(), st.integers(1, 8))
 def test_cocycle_count_matches_exact_component_sum(X, M):
-    lab = components(X)
+    check_cocycle_count(X, M)
+
+
+@SETTINGS
+@given(dense_complexes, st.integers(1, 30))
+def test_cocycle_count_matches_exact_component_sum_when_dense(X, M):
+    check_cocycle_count(X, M)
+
+
+def check_cocycle_count(X, M):
+    """cocycle_count_bounded against singletons plus the exact cocycle
+    dimension of each small enough component of the BFS reference."""
+    lab = bfs_components(X)
     want = lab.num_singletons
     for cid, comp in enumerate(lab.comp_faces):
         view = component_view(X, lab, cid)

@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from rwcomplex.simplices import (SubComplexView, WeightedComplex,
-                                 cofacet_ranks, cofacets, degree, faces,
-                                 rank_colex, read_complex, simplex_table,
-                                 unrank_colex, write_complex)
+from rwcomplex.simplices import (MAX_D_SIMPLICES, SubComplexView,
+                                 WeightedComplex, cofacet_ranks, cofacets,
+                                 d_simplex_count, degree, faces, rank_colex,
+                                 read_complex, simplex_table, unrank_colex,
+                                 write_complex)
 
 
 def test_rank_colex_is_colex_order():
@@ -115,6 +116,15 @@ def test_simplex_table_matches_brute_force():
             sigma = unrank_colex(fr, d - 1, n)
             expect = sorted(rank_colex(t) for t in cofacets(sigma, n))
             assert sorted(tbl.cofacet_ranks[fr].tolist()) == expect
+
+
+def test_size_guard_names_the_count_and_the_limit():
+    n = next(n for n in range(3, 10 ** 4)
+             if math.comb(n, 3) > MAX_D_SIMPLICES)
+    assert d_simplex_count(n - 1, 2) == math.comb(n - 1, 3)
+    with pytest.raises(ValueError, match="C\\(%d, 3\\) = %d .* limit of %d"
+                       % (n, math.comb(n, 3), MAX_D_SIMPLICES)):
+        simplex_table(n, 2)
 
 
 def test_subcomplex_view_face_validation():

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
+from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
-                                exp_mean_n)
+                                exp_mean_n, sample_complex)
 from rwcomplex.simplices import (WeightedComplex, cofacets, rank_colex,
                                  unrank_colex)
 from rwcomplex.statistics import (LocalComplex, betti_bounded,
@@ -15,6 +16,9 @@ from rwcomplex.statistics import (LocalComplex, betti_bounded,
                                   make_cocycle_ratio, make_statistic,
                                   nn_face, nn_terms, nn_total,
                                   nn_total_complex)
+from rwcomplex.topology import component_view
+
+from test_topology import bfs_components
 
 
 def random_complex(n, d, num, seed, weights=True):
@@ -160,6 +164,25 @@ def test_betti_offset():
         for M in (1, 3, 10):
             assert betti_bounded(X, M) == \
                 cocycle_count_bounded(X, M) - math.comb(6, 1)
+
+
+def test_cocycle_count_without_cores_needs_no_rank_or_adjacency(monkeypatch):
+    import rwcomplex.cohomology
+    import rwcomplex.statistics
+    params = ModelParams(120, 2, 0.5 / 120,
+                         WeightDistribution("constant", 1.0))
+    ref = sample_complex(params, 1)
+    lab = bfs_components(ref)
+    want = lab.num_singletons + sum(
+        cocycle_dim(component_view(ref, lab, cid), exact=True)
+        for cid, comp in enumerate(lab.comp_faces) if len(comp) <= 30)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("not needed without cores")
+    monkeypatch.setattr(rwcomplex.cohomology, "rank_pm1", refuse)
+    monkeypatch.setattr(rwcomplex.statistics, "rank_pm1", refuse)
+    monkeypatch.setattr(WeightedComplex, "face_adjacency", property(refuse))
+    assert cocycle_count_bounded(sample_complex(params, 1), 30) == want
 
 
 def test_cocycle_count_empty_complex():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ import pytest
 from rwcomplex.sampling import ModelParams, WeightDistribution, sample_complex
 from rwcomplex.simplices import (WeightedComplex, faces, rank_colex,
                                  unrank_colex)
-from rwcomplex.topology import (ball_k, bfs_distances, canonical_disjoint_pair,
-                                components, component_view, connected_within,
+from rwcomplex.topology import (ComponentLabeling, ball_k, bfs_distances,
+                                canonical_disjoint_pair, components,
+                                component_view, connected_within,
                                 connection_counts, gamma_exact, m_ball)
 
 
@@ -57,6 +59,39 @@ def distinct_path_distance(X, src, dst, max_len):
     return best[0] if best[0] <= max_len else None
 
 
+def bfs_components(X):
+    """Reference strong components: breadth-first search over the face
+    adjacency from each covered face in order of first appearance."""
+    adj = X.face_adjacency
+    labels = {}
+    comp_faces = []
+    comp_simplices = []
+    seen_simplices = set()
+    for start in adj:
+        if start in labels:
+            continue
+        cid = len(comp_faces)
+        face_list = []
+        simp_list = []
+        queue = deque([start])
+        labels[start] = cid
+        while queue:
+            s = queue.popleft()
+            face_list.append(s)
+            for tau_rank, franks in adj[s]:
+                if tau_rank not in seen_simplices:
+                    seen_simplices.add(tau_rank)
+                    simp_list.append(tau_rank)
+                for o in franks:
+                    if o not in labels:
+                        labels[o] = cid
+                        queue.append(o)
+        comp_faces.append(sorted(face_list))
+        comp_simplices.append(sorted(simp_list))
+    return ComponentLabeling(X.n, X.d, labels, comp_faces, comp_simplices,
+                             math.comb(X.n, X.d) - len(labels))
+
+
 def test_bfs_equals_distinct_path_metric():
     # shortest witnessing paths never need to repeat a d-simplex, so BFS on
     # the face adjacency graph must reproduce the distinct-simplex metric
@@ -91,6 +126,33 @@ def test_face_index_built_once_per_complex(monkeypatch):
     for cid in range(len(lab.comp_faces)):
         component_view(X, lab, cid)
     assert len(calls) == 1
+
+
+def test_derived_complexes_reuse_the_face_index(monkeypatch):
+    import rwcomplex.simplices as simplices
+    X = random_complex(7, 2, 12, seed=4)
+    empty = WeightedComplex(7, 2, np.array([], dtype=np.int64), np.array([]))
+    X.face_rows, empty.face_rows
+    calls = []
+    unrank = simplices.unrank_colex_array
+
+    def counted(ranks, k, n):
+        calls.append(len(ranks))
+        return unrank(ranks, k, n)
+    monkeypatch.setattr(simplices, "unrank_colex_array", counted)
+    absent = next(r for r in range(35) if not X.has(r))
+    derived = [X.with_simplex(absent, 0.5),
+               X.with_simplex(int(X.present[3]), 0.5),
+               X.without_simplex(int(X.present[3])),
+               ball_k(X, unrank_colex(int(X.present[0]), 2, 7), 1)
+               .as_complex(), empty.with_simplex(absent, 1.0)]
+    rows = [Y.face_rows for Y in derived]
+    assert calls == [1, 1]    # tau's one row, for each X + tau
+    monkeypatch.undo()
+    for Y, got in zip(derived, rows):
+        fresh = WeightedComplex(Y.n, Y.d, Y.present, Y.weights)
+        assert got.tolist() == fresh.face_rows.tolist()
+        assert not got.flags.writeable
 
 
 def test_connected_within_basics():

@@ -31,6 +31,9 @@ class BoundInputs:
             raise ValueError("need n >= 1 and d >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        for name in ("lam", "sigma_sq", "J", "delta", "rho", "gamma", "C"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite" % name)
         if self.sigma_sq <= 0:
             raise ValueError("sigma_sq must be positive")
         for name in ("lam", "J", "delta", "rho", "gamma", "C"):

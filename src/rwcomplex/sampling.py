@@ -35,6 +35,9 @@ class WeightDistribution:
     def __post_init__(self):
         if self.kind not in ("exponential", "uniform", "constant"):
             raise ValueError("unknown weight distribution %r" % self.kind)
+        if not math.isfinite(self.param) or \
+                not math.isfinite(0.0 if self.cap is None else self.cap):
+            raise ValueError("parameters must be finite")
         if self.kind in ("exponential", "uniform") and self.param <= 0:
             raise ValueError("parameter must be positive")
         if self.kind == "constant" and self.param < 0:

@@ -13,9 +13,10 @@ their weights; the complete (d-1)-skeleton is implicit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +153,8 @@ class WeightedComplex:
                 raise ValueError("present ranks must be sorted and unique")
             if present[0] < 0 or present[-1] >= math.comb(self.n, self.d + 1):
                 raise ValueError("present rank out of range")
+            if not np.isfinite(weights).all():
+                raise ValueError("weights must be finite")
             if np.any(weights < 0):
                 raise ValueError("negative weight")
         present.setflags(write=False)
@@ -161,32 +164,19 @@ class WeightedComplex:
     def num_present(self) -> int:
         return int(self.present.size)
 
-    @property
+    @cached_property
     def face_rows(self) -> np.ndarray:
         """Face ranks of the present simplices: row i belongs to present[i],
         column j deletes vertex j.  Built once per complex."""
-        rows = self.__dict__.get("_face_rows")
-        if rows is None:
-            rows = face_rank_array(
-                unrank_colex_array(self.present, self.d, self.n), self.n)
-            rows.setflags(write=False)
-            object.__setattr__(self, "_face_rows", rows)
+        rows = face_rank_array(
+            unrank_colex_array(self.present, self.d, self.n), self.n)
+        rows.setflags(write=False)
         return rows
 
-    @property
-    def face_adjacency(self) -> Dict[int, List[Tuple[int, tuple]]]:
-        """face rank -> [(d-simplex rank, all face ranks of that simplex)]
-        over the present simplices in ascending rank.  Built once per
-        complex; callers must not mutate it."""
-        adj = self.__dict__.get("_face_adjacency")
-        if adj is None:
-            adj = {}
-            for r, fs in zip(self.present.tolist(),
-                             map(tuple, self.face_rows.tolist())):
-                for f in fs:
-                    adj.setdefault(f, []).append((r, fs))
-            object.__setattr__(self, "_face_adjacency", adj)
-        return adj
+    @cached_property
+    def face_index(self) -> "FaceIndex":
+        """The face index of face_rows.  Built once per complex."""
+        return FaceIndex(self.face_rows)
 
     def has(self, rank: int) -> bool:
         i = np.searchsorted(self.present, rank)
@@ -223,19 +213,50 @@ class WeightedComplex:
 
 def _indexed(n: int, d: int, present, weights,
              rows: np.ndarray) -> WeightedComplex:
-    """A complex whose face index is `rows`, derived from another
-    complex's index instead of being built from scratch."""
+    """A complex whose face rows are `rows`, derived from another
+    complex's instead of being computed from scratch."""
     X = WeightedComplex(n, d, present, weights)
     rows.setflags(write=False)
-    object.__setattr__(X, "_face_rows", rows)
+    X.__dict__["face_rows"] = rows
     return X
+
+
+class FaceIndex:
+    """Face incidence of a complex, from one stable argsort of its face rows:
+    the covered (d-1)-simplices get ids 0, 1, ... in ascending rank, and the
+    simplices on face j sit at positions simp[ptr[j]:ptr[j+1]] of `present`."""
+
+    def __init__(self, face_rows: np.ndarray):
+        flat = face_rows.ravel()
+        order = flat.argsort(kind="stable")
+        ranks = flat[order]
+        new = np.ones(flat.size + 1, dtype=bool)    # run starts, plus the end
+        np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
+        self.ptr = new.nonzero()[0]
+        self.faces = ranks[self.ptr[:-1]]           # covered face ranks
+        self.rows = np.empty(face_rows.shape, dtype=order.dtype)
+        self.rows.ravel()[order] = new[:-1].cumsum() - 1  # face_rows as ids
+        self.simp = order // face_rows.shape[1]
+
+    def find(self, rank: int) -> int:
+        """The id of a face rank, or -1 if no present simplex covers it."""
+        faces_ = self.lists[0]
+        j = bisect_left(faces_, rank)
+        return j if faces_[j:j + 1] == [rank] else -1
+
+    @cached_property
+    def lists(self) -> Tuple[list, list, list, list]:
+        """faces, ptr, simp and rows[simp] flattened, as lists for walks."""
+        return (self.faces.tolist(), self.ptr.tolist(), self.simp.tolist(),
+                self.rows[self.simp].ravel().tolist())
 
 
 def degree(X: WeightedComplex, sigma: Sequence[int]) -> int:
     """Number of present cofacets of the (d-1)-simplex sigma."""
     if len(tuple(sigma)) != X.d:
         raise ValueError("sigma must be a (d-1)-simplex")
-    return len(X.face_adjacency.get(rank_colex(tuple(sigma)), ()))
+    ptr, j = X.face_index.lists[1], X.face_index.find(rank_colex(tuple(sigma)))
+    return 0 if j < 0 else ptr[j + 1] - ptr[j]
 
 
 @dataclass(frozen=True)
@@ -248,7 +269,7 @@ class SubComplexView:
     connected components, which exclude ambient isolated simplices).
 
     `face_rows[i]` holds the face ranks of `included[i]` in the order of
-    faces().  Views cut from a complex take them from its face index; when
+    faces().  Views cut from a complex take them from its face rows; when
     omitted they are computed here.
     """
 
@@ -264,9 +285,8 @@ class SubComplexView:
         if self.face_rows is None:
             object.__setattr__(self, "face_rows", face_rank_array(
                 unrank_colex_array(self.included, self.d, self.n), self.n))
-        if self.lower_faces is not None and \
-                not set(self.face_rows.ravel().tolist()) <= \
-                set(self.lower_faces):
+        if self.lower_faces is not None and not set(
+                self.face_rows.ravel().tolist()).issubset(self.lower_faces):
             raise ValueError("lower_faces must contain every face of "
                              "every included d-simplex")
 

@@ -10,7 +10,6 @@ suite checks this equivalence.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,31 +21,44 @@ from .simplices import (Simplex, SubComplexView, WeightedComplex,
                         unrank_colex_array)
 
 
+def _walk(X: WeightedComplex, sources: List[int],
+          depth: float) -> Tuple[Dict[int, int], np.ndarray]:
+    """BFS over X's face index from the covered faces among `sources`
+    (ranks): {face rank: distance} for them and every face within `depth`,
+    and the ascending positions in X.present of the simplices on the latter."""
+    index = X.face_index
+    faces_, ptr, simp, nbr = index.lists
+    k1 = X.d + 1
+    dist = dict.fromkeys([j for j in map(index.find, sources) if j >= 0], 0)
+    queue = list(dist)
+    reached = []
+    for f in queue:     # the loop also visits the faces appended below
+        df = dist[f]
+        if df > depth:
+            break       # depth < 0: not even the sources are within it
+        a, b = ptr[f], ptr[f + 1]
+        reached += simp[a:b]
+        if df < depth:
+            for o in nbr[k1 * a:k1 * b]:
+                if o not in dist:
+                    dist[o] = df + 1
+                    queue.append(o)
+    return (dict(zip(map(faces_.__getitem__, queue), dist.values())),
+            np.array(sorted(set(reached)), dtype=np.int64))
+
+
 def bfs_distances(X: WeightedComplex, source_rank: int,
                   max_dist: Optional[int] = None) -> Dict[int, int]:
     """Minimal path lengths from a source (d-1)-simplex to every reached one."""
-    adj = X.face_adjacency
-    dist = {source_rank: 0}
-    queue = deque([source_rank])
-    while queue:
-        s = queue.popleft()
-        ds = dist[s]
-        if max_dist is not None and ds >= max_dist:
-            continue
-        for _, franks in adj.get(s, ()):
-            for o in franks:
-                if o not in dist:
-                    dist[o] = ds + 1
-                    queue.append(o)
-    return dist
+    return _walk(X, [source_rank], math.inf if max_dist is None
+                 else max_dist)[0] or {source_rank: 0}
 
 
-def _view(X: WeightedComplex, ranks: List[int],
+def _view(X: WeightedComplex, pos: np.ndarray,
           lower_faces: Optional[frozenset]) -> SubComplexView:
-    """The present d-simplices `ranks` (ascending) of X as a view, with
-    their weights and face rows taken from X."""
-    pos = np.searchsorted(X.present, np.asarray(ranks, dtype=np.int64))
-    return SubComplexView(X.n, X.d, tuple(ranks),
+    """The present d-simplices at positions `pos` (ascending) of X as a
+    view, with their weights and face rows taken from X."""
+    return SubComplexView(X.n, X.d, tuple(X.present[pos].tolist()),
                           tuple(X.weights[pos].tolist()), lower_faces,
                           face_rows=X.face_rows[pos])
 
@@ -64,14 +76,8 @@ def _center_faces(X: WeightedComplex, center: Sequence[int]) -> List[int]:
 def connected_within(X: WeightedComplex, sigma: Sequence[int],
                      sigma_prime: Sequence[int], k: int) -> bool:
     """True iff a path of length <= k joins the two (d-1)-simplices in X."""
-    s = rank_colex(tuple(sigma))
-    t = rank_colex(tuple(sigma_prime))
-    if s == t:
-        return True
-    if k <= 0:
-        return False
-    dist = bfs_distances(X, s, max_dist=k)
-    return dist.get(t, k + 1) <= k
+    return rank_colex(tuple(sigma_prime)) in \
+        bfs_distances(X, rank_colex(tuple(sigma)), max_dist=k)
 
 
 def ball_k(X: WeightedComplex, center: Sequence[int], k: int) -> SubComplexView:
@@ -81,16 +87,9 @@ def ball_k(X: WeightedComplex, center: Sequence[int], k: int) -> SubComplexView:
     A present d-simplex tau' belongs to the ball iff some face of tau' is at
     BFS distance <= k-1 from a center face.
     """
-    sources = _center_faces(X, center)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    included = set()
-    if k >= 1:
-        adj = X.face_adjacency
-        for src in sources:
-            for fr in bfs_distances(X, src, max_dist=k - 1):
-                included.update(r for r, _ in adj.get(fr, ()))
-    return _view(X, sorted(included), None)
+    return _view(X, _walk(X, _center_faces(X, center), k - 1)[1], None)
 
 
 def m_ball(X: WeightedComplex, center: Sequence[int], M: int) -> SubComplexView:
@@ -102,16 +101,9 @@ def m_ball(X: WeightedComplex, center: Sequence[int], M: int) -> SubComplexView:
     if M < 1:
         raise ValueError("M must be >= 1")
     sources = _center_faces(X, center)
-    adj = X.face_adjacency
-    included = set()
-    lower = set(sources)
-    for src in sources:
-        for fr in bfs_distances(X, src, max_dist=M - 1):
-            for tau_rank, franks in adj.get(fr, ()):
-                if tau_rank not in included:
-                    included.add(tau_rank)
-                    lower.update(franks)
-    return _view(X, sorted(included), frozenset(lower))
+    reached = _walk(X, sources, M - 1)[1]
+    return _view(X, reached, frozenset(
+        X.face_rows[reached].ravel().tolist()).union(sources))
 
 
 @dataclass(frozen=True)
@@ -135,15 +127,11 @@ class ComponentLabeling:
         return len(self.comp_faces) + self.num_singletons
 
 
-def component_labels(X: WeightedComplex
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(faces, rows, cid): the covered face ranks ascending, X.face_rows as
-    indices into `faces`, and each covered face's strong component id,
-    numbered by first appearance in face_rows read row by row."""
-    faces_, rows = np.unique(X.face_rows, return_inverse=True)
-    # the inverse's shape differs across numpy versions
-    rows = rows.reshape(X.face_rows.shape)
-    lab = np.arange(faces_.size)
+def component_labels(X: WeightedComplex) -> np.ndarray:
+    """The strong component id of each face of X.face_index, numbered by
+    first appearance in face_rows read row by row."""
+    rows = X.face_index.rows
+    lab = np.arange(X.face_index.faces.size)
     while rows.size:
         # min-label propagation through the simplices, then pointer jumping
         new = lab.copy()
@@ -153,14 +141,14 @@ def component_labels(X: WeightedComplex
             break
         lab = new
     roots, first = np.unique(lab[rows[:, 0]], return_index=True)
-    cid_of = np.empty(faces_.size, dtype=np.int64)
+    cid_of = np.empty_like(lab)
     cid_of[roots[np.argsort(first)]] = np.arange(roots.size)
-    return faces_, rows, cid_of[lab]
+    return cid_of[lab]
 
 
 def components(X: WeightedComplex) -> ComponentLabeling:
     """Strongly connected components of X (singletons counted, not listed)."""
-    faces_, rows, cid = component_labels(X)
+    index, cid = X.face_index, component_labels(X)
 
     def split(ranks, comp):
         # every component has a face and a simplex, so bincount has one
@@ -169,15 +157,15 @@ def components(X: WeightedComplex) -> ComponentLabeling:
         return [part.tolist() for part in
                 np.split(ranks[np.argsort(comp, kind="stable")], cuts)[:-1]]
     return ComponentLabeling(
-        X.n, X.d, dict(zip(faces_.tolist(), cid.tolist())),
-        split(faces_, cid), split(X.present, cid[rows[:, 0]]),
-        math.comb(X.n, X.d) - faces_.size)
+        X.n, X.d, dict(zip(index.faces.tolist(), cid.tolist())),
+        split(index.faces, cid), split(X.present, cid[index.rows[:, 0]]),
+        math.comb(X.n, X.d) - cid.size)
 
 
 def component_view(X: WeightedComplex, labeling: ComponentLabeling,
                    cid: int) -> SubComplexView:
     """One strongly connected component as an explicit-face subcomplex."""
-    return _view(X, labeling.comp_simplices[cid],
+    return _view(X, np.searchsorted(X.present, labeling.comp_simplices[cid]),
                  frozenset(labeling.comp_faces[cid]))
 
 

@@ -24,6 +24,14 @@ def _inputs(**kw):
     return BoundInputs(**base)
 
 
+@pytest.mark.parametrize("field", ["lam", "sigma_sq", "J", "delta", "rho",
+                                   "gamma", "C"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_inputs_reject_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=field + " must be finite"):
+        _inputs(**{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # arbitrary-precision oracles
 

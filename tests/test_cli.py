@@ -105,6 +105,28 @@ def test_parse_weights():
             parse_weights(bad, 10)
 
 
+def test_non_finite_inputs_fail_with_one_error_line(tmp_path, capsys):
+    def fails(argv, code):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert captured.out == ""
+    gen = ["generate", "--n", "10", "--d", "2", "--lambda", "1", "--seed",
+           "1", "--out", str(tmp_path / "c.txt")]
+    for spec in ("exp:mean=nan", "exp:mean=inf", "uniform:bound=inf",
+                 "constant:nan"):
+        with pytest.raises(UsageError):
+            parse_weights(spec, 10)
+        fails(gen + ["--weights", spec], 1)
+    assert not (tmp_path / "c.txt").exists()
+    path = tmp_path / "nan.txt"
+    path.write_text("n=5 d=1\n0,1,1.0\n0,2,nan\n")
+    fails(["stat", "--in", str(path), "--stat", "isolated"], 2)
+    fails(["bound", "--formula", "main", "--n", "100", "--d", "2",
+           "--lambda", "nan", "--k", "2"], 2)
+
+
 def test_parse_config_defaults_and_rejects():
     text = json.dumps({"n": 20, "d": 1, "lambda": 2.0, "stat": "nn",
                        "replicas": 10, "seed": 1})

@@ -39,3 +39,31 @@ def test_traced_name_exists(name):
     fn = vars(owner).get(path[-1])
     assert callable(fn), name
     assert fn.__module__ == "rwcomplex." + layer, name
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", TRACING.parent / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_jobs_can_be_built(name):
+    # the benchmark builds its jobs through these calls; a change to the
+    # package that breaks them would otherwise surface only when it runs
+    from rwcomplex.cli import build_parser
+    from rwcomplex.harness import ExperimentConfig
+    sp = workloads.spec(name, "smoke")
+    seed = workloads.job_seed(workloads.DEFAULT_SEED, 0)
+    if sp["kind"] == "cli":
+        for argv in workloads.cli_argv(sp, seed, "complex.txt"):
+            build_parser().parse_args(argv)
+        return
+    cfg = workloads.experiment_config(sp, seed, sp["replicas"])
+    assert isinstance(cfg, ExperimentConfig)
+    assert (cfg.workers, cfg.statistic) == (sp["workers"], sp["stat"])

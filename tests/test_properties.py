@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.sampling import ModelParams, PairedSample, WeightDistribution
-from rwcomplex.simplices import (WeightedComplex, face_rank_array, faces,
-                                 rank_colex, simplex_table, unrank_colex,
-                                 unrank_colex_array)
+from rwcomplex.simplices import (WeightedComplex, degree, face_rank_array,
+                                 faces, rank_colex, simplex_table,
+                                 unrank_colex, unrank_colex_array)
 from rwcomplex.statistics import (cocycle_count_bounded, f_alpha_faces,
                                   isolated_count, make_statistic, nn_terms)
-from rwcomplex.topology import bfs_distances, component_view, components
+from rwcomplex.topology import (ball_k, bfs_distances, component_view,
+                                components, m_ball)
 
-from test_topology import bfs_components, distinct_path_distance
+from test_topology import (bfs_components, dict_ball, dict_bfs,
+                           distinct_path_distance, face_adjacency)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -80,6 +82,39 @@ def test_index_bfs_matches_distinct_path_metric(X, data):
         got = dist.get(dst)
         assert (got if got is not None and got <= 6 else None) == \
             distinct_path_distance(X, src, dst, max_len=6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@SETTINGS
+@given(st.data())
+def test_balls_and_degrees_match_the_dict_reference(d, data):
+    X = data.draw(complexes(min_d=d, max_d=d))
+    n = X.n
+    tau = data.draw(st.integers(0, math.comb(n, d + 1) - 1))
+    sigma = data.draw(st.integers(0, math.comb(n, d) - 1))
+    # X + tau and X - tau take their face rows from X's
+    for Y in (X, X.with_simplex(tau, 0.5), X.without_simplex(tau)):
+        adj = face_adjacency(Y)
+        for s in range(math.comb(n, d)):
+            assert degree(Y, unrank_colex(s, d - 1, n)) == \
+                len(adj.get(s, ()))
+        assert bfs_distances(Y, sigma) == dict_bfs(adj, sigma)
+        centers = (unrank_colex(tau, d, n), unrank_colex(sigma, d - 1, n))
+        for center in centers:
+            for k in range(4):
+                check_view(Y, ball_k(Y, center, k),
+                           dict_ball(Y, center, k)[0], None)
+            for M in range(1, 4):
+                check_view(Y, m_ball(Y, center, M), *dict_ball(Y, center, M))
+
+
+def check_view(X, view, included, lower):
+    assert view.included == tuple(included)
+    assert view.weights == tuple(X.weight_of(r) for r in included)
+    assert view.lower_faces == (None if lower is None else frozenset(lower))
+    assert view.face_rows.tolist() == \
+        [[rank_colex(f) for f in faces(unrank_colex(r, X.d, X.n))]
+         for r in included]
 
 
 # n <= 8 and d = 2 with at least 10 present triangles: dense enough that

@@ -34,6 +34,15 @@ def test_distribution_validation():
         WeightDistribution("uniform", 1.0, cap=2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite_parameters(bad):
+    for kind in ("exponential", "uniform", "constant"):
+        with pytest.raises(ValueError, match="finite"):
+            WeightDistribution(kind, bad)
+    with pytest.raises(ValueError, match="finite"):
+        WeightDistribution("exponential", 1.0, cap=bad)
+
+
 def test_inverse_cdf_inverts_cdf():
     for dist in (WeightDistribution("exponential", 2.0),
                  WeightDistribution("exponential", 2.0, cap=1.5),

@@ -74,6 +74,15 @@ def test_weighted_complex_validation():
         WeightedComplex(5, 1, np.array([math.comb(5, 2)]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weighted_complex_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        WeightedComplex(5, 1, np.array([0, 3]), np.array([1.0, bad]))
+    X = WeightedComplex(5, 1, np.array([0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        X.with_simplex(3, bad)
+
+
 def test_complex_file_round_trip(tmp_path):
     rng = random.Random(11)
     nd = math.comb(7, 3)

@@ -169,6 +169,7 @@ def test_betti_offset():
 def test_cocycle_count_without_cores_needs_no_rank_or_adjacency(monkeypatch):
     import rwcomplex.cohomology
     import rwcomplex.statistics
+    import rwcomplex.topology
     params = ModelParams(120, 2, 0.5 / 120,
                          WeightDistribution("constant", 1.0))
     ref = sample_complex(params, 1)
@@ -181,7 +182,9 @@ def test_cocycle_count_without_cores_needs_no_rank_or_adjacency(monkeypatch):
         raise AssertionError("not needed without cores")
     monkeypatch.setattr(rwcomplex.cohomology, "rank_pm1", refuse)
     monkeypatch.setattr(rwcomplex.statistics, "rank_pm1", refuse)
-    monkeypatch.setattr(WeightedComplex, "face_adjacency", property(refuse))
+    # components come from labels, not from a walk over the face index
+    monkeypatch.setattr(rwcomplex.topology, "_walk", refuse)
+    monkeypatch.setattr(rwcomplex.topology, "bfs_distances", refuse)
     assert cocycle_count_bounded(sample_complex(params, 1), 30) == want
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from rwcomplex.sampling import ModelParams, WeightDistribution, sample_complex
-from rwcomplex.simplices import (WeightedComplex, faces, rank_colex,
+from rwcomplex.simplices import (WeightedComplex, degree, faces, rank_colex,
                                  unrank_colex)
+from rwcomplex.statistics import isolated_count
 from rwcomplex.topology import (ComponentLabeling, ball_k, bfs_distances,
                                 canonical_disjoint_pair, components,
                                 component_view, connected_within,
@@ -59,10 +60,59 @@ def distinct_path_distance(X, src, dst, max_len):
     return best[0] if best[0] <= max_len else None
 
 
+# ---------------------------------------------------------------------------
+# reference face incidence: a dict from each covered face to the present
+# simplices on it, built with the scalar colex routines
+
+def face_adjacency(X):
+    """face rank -> [(d-simplex rank, all face ranks of that simplex)] over
+    the present simplices in ascending rank."""
+    adj = {}
+    for r in X.present.tolist():
+        fs = tuple(rank_colex(f) for f in faces(unrank_colex(r, X.d, X.n)))
+        for f in fs:
+            adj.setdefault(f, []).append((r, fs))
+    return adj
+
+
+def dict_bfs(adj, source, max_dist=None):
+    """Breadth-first path distances from one face over the reference."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        s = queue.popleft()
+        if max_dist is not None and dist[s] >= max_dist:
+            continue
+        for _, franks in adj.get(s, ()):
+            for o in franks:
+                if o not in dist:
+                    dist[o] = dist[s] + 1
+                    queue.append(o)
+    return dist
+
+
+def dict_ball(X, center, radius):
+    """(included simplex ranks ascending, faces) of the ball around a
+    (d-1)- or d-simplex center: the present simplices on a face within
+    radius - 1 of a center face, one BFS per center face, and the center
+    faces plus the faces of those simplices."""
+    c = tuple(center)
+    sources = [rank_colex(c)] if len(c) == X.d else \
+        [rank_colex(f) for f in faces(c)]
+    adj = face_adjacency(X)
+    included, lower = set(), set(sources)
+    for src in sources if radius >= 1 else ():
+        for fr in dict_bfs(adj, src, radius - 1):
+            for r, fs in adj.get(fr, ()):
+                included.add(r)
+                lower.update(fs)
+    return sorted(included), lower
+
+
 def bfs_components(X):
     """Reference strong components: breadth-first search over the face
     adjacency from each covered face in order of first appearance."""
-    adj = X.face_adjacency
+    adj = face_adjacency(X)
     labels = {}
     comp_faces = []
     comp_simplices = []
@@ -117,15 +167,26 @@ def test_face_index_built_once_per_complex(monkeypatch):
         calls.append(args)
         return unrank(*args)
     monkeypatch.setattr(simplices, "unrank_colex_array", counted)
+    builds = []
+    build = simplices.FaceIndex
+
+    def counted_build(rows):
+        builds.append(rows.shape)
+        return build(rows)
+    monkeypatch.setattr(simplices, "FaceIndex", counted_build)
     X = random_complex(7, 2, 12, seed=4)
     tau = unrank_colex(int(X.present[0]), 2, 7)
     bfs_distances(X, rank_colex(tau[:2]))
+    connected_within(X, tau[:2], tau[1:], 3)
     ball_k(X, tau, 2)
     m_ball(X, tau[1:], 2)
+    degree(X, tau[:2])
+    isolated_count(X)
     lab = components(X)
     for cid in range(len(lab.comp_faces)):
         component_view(X, lab, cid)
     assert len(calls) == 1
+    assert builds == [(12, 3)]
 
 
 def test_derived_complexes_reuse_the_face_index(monkeypatch):

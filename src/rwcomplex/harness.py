@@ -306,12 +306,11 @@ def run_cov_nn(n: int, d: int, replicas: int, inner: int,
     if inner < 1:
         raise ValueError("inner must be >= 1")
     m1 = n - d - 1
-    counters = np.arange(2 * m1 + 3 * inner, dtype=np.int64)
     theta = float(n)
     vals = np.empty(replicas)
     for r in range(replicas):
         key = rng.stream_key(rng.child_seed(seed, r), 0)
-        u = rng.uniforms(key, counters)
+        u = rng.uniform_range(key, 2 * m1 + 3 * inner)
         w_all = -theta * np.log(1.0 - u)
         x = w_all[:m1].min()
         y = w_all[m1:2 * m1].min()

@@ -287,8 +287,7 @@ def estimate_variance_and_J(f: Statistic, params: ModelParams, replicas: int,
             conditioning="closed form, constant H=%g" % f.lipschitz_H)
     else:
         key = rng.stream_key(rng.child_seed(seed, 1 << 32), 29)
-        u = rng.uniforms(key, np.arange(2 * m, dtype=np.int64))
-        w = params.dist.inverse_cdf(u)
+        w = params.dist.inverse_cdf(rng.uniform_range(key, 2 * m))
         h6 = np.maximum(w[:m], w[m:]) ** 6
         jm, jse = _mean_se(h6)
         j_est = StabilizationEstimate(

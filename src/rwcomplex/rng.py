@@ -3,7 +3,8 @@
 Every draw is a pure function of (seed, stream tag, counter), so arbitrary
 slices of a stream can be materialized in any order, on any worker, and
 still agree bit for bit.  The generator is the SplitMix64 sequence: output
-at counter r is the SplitMix64 finalizer applied to key + (r+1)*GOLDEN.
+at counter r is the SplitMix64 finalizer applied to key + (r+1)*GOLDEN;
+`ranks_below` and `uniform_range` draw the counters 0..count-1 in blocks.
 """
 from __future__ import annotations
 
@@ -20,6 +21,11 @@ TAG_B = 0
 TAG_W = 1
 TAG_BP = 2
 TAG_WP = 3
+
+BLOCK = 1 << 15     # counters per block of the contiguous-stream kernel
+_STEPS = np.arange(BLOCK, dtype=np.uint64)     # i * GOLDEN, multiplied in
+_STEPS *= np.uint64(_GOLDEN)                   # place: no freed temporary
+_STEPS.flags.writeable = False
 
 
 def mix64(z: int) -> int:
@@ -49,16 +55,48 @@ def uniform_at(key: int, counter: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer of the uint64 array z, in place; t is scratch."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=t), out=z)
+        np.multiply(z, np.uint64(mult), out=z)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
+
+
 def uniforms(key: int, counters) -> np.ndarray:
     """Vectorized 53-bit uniforms in [0, 1) at the given counter positions.
 
     Bit-compatible with ``uniform_at``; `counters` may be any integer array
     (scattered, unsorted, repeated).
     """
-    r = np.asarray(counters).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(key) + (r + np.uint64(1)) * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    z = np.asarray(counters).astype(np.uint64)
+    np.add(np.multiply(z, np.uint64(_GOLDEN), out=z),     # key + (r+1)*GOLDEN
+           np.uint64((key + _GOLDEN) & _MASK), out=z)
+    return (_mix(z, np.empty_like(z)) >> np.uint64(11)) * _INV_2_53
+
+
+def _blocks(key: int, count: int):
+    """(lo, outputs at counters lo, lo+1, ...) per block, overwritten next."""
+    z, t = np.empty((2, min(count, BLOCK)), dtype=np.uint64)
+    for lo in range(0, count, BLOCK):
+        base = np.uint64((key + _GOLDEN * (lo + 1)) & _MASK)
+        yield lo, _mix(np.add(_STEPS[:count - lo], base, out=z[:count - lo]),
+                       t[:count - lo])
+
+
+def ranks_below(key: int, count: int, p: float) -> np.ndarray:
+    """Ascending counters r < count with uniform_at(key, r) < p, exactly:
+    u = (z >> 11) * 2^-53 < p iff z < ceil(p * 2^53) * 2^11."""
+    if p >= 1.0:
+        return np.arange(count, dtype=np.int64)
+    limit = np.uint64(int(np.ceil(p * 2.0 ** 53)) << 11)
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        lo + np.flatnonzero(z < limit) for lo, z in _blocks(key, count)])
+
+
+def uniform_range(key: int, count: int) -> np.ndarray:
+    """uniforms(key, np.arange(count)), drawn block by block."""
+    out = np.empty(count)
+    for lo, z in _blocks(key, count):
+        out[lo:lo + z.size] = np.right_shift(z, np.uint64(11), out=z)
+    return np.multiply(out, _INV_2_53, out=out)

@@ -17,8 +17,6 @@ import numpy as np
 from . import rng
 from .simplices import WeightedComplex, d_simplex_count
 
-SWEEP_BLOCK = 1 << 13    # ranks per block of the presence sweep
-
 
 @dataclass(frozen=True)
 class WeightDistribution:
@@ -169,6 +167,12 @@ class PairedSample:
         u = rng.uniforms(self._key(tag), ranks)
         return self.params.dist.inverse_cdf(u)
 
+    def all_weights(self) -> np.ndarray:
+        """Weights w at every rank 0..C(n, d+1)-1, in rank order."""
+        return self.params.dist.inverse_cdf(rng.uniform_range(
+            self._key(rng.TAG_W),
+            d_simplex_count(self.params.n, self.params.d)))
+
     def quadruple(self, ranks):
         """(b, w, b', w') arrays at the given ranks."""
         return (self.presence(ranks), self.weight_values(ranks),
@@ -186,12 +190,11 @@ class PairedSample:
             if not isinstance(F, np.ndarray) else np.unique(F)
         if fset.size and (fset[0] < 0 or fset[-1] >= nd):
             raise ValueError("resample rank out of range")
-        # in blocks, so the allocator reuses the small temporaries; it maps
-        # and page-faults sweep-sized ones anew on every sweep
-        present = np.concatenate([
-            lo + np.flatnonzero(self.presence(np.arange(
-                lo, min(lo + SWEEP_BLOCK, nd), dtype=np.int64)))
-            for lo in range(0, nd, SWEEP_BLOCK)])
+        present = rng.ranks_below(self._key(rng.TAG_B), nd, self.params.p)
+        for r, v in (self.forced.b if self.forced else {}).items():
+            if 0 <= r < nd:     # forced ranks out of range are ignored
+                present = np.union1d(present, [r]) if v \
+                    else np.setdiff1d(present, [r])
         if fset.size:
             present = np.union1d(np.setdiff1d(present, fset),
                                  fset[self.presence(fset, primed=True)])

@@ -16,8 +16,8 @@ import numpy as np
 from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
 from .simplices import (SubComplexView, WeightedComplex, cofacet_ranks, faces,
-                        simplex_table, unrank_colex, unrank_colex_array)
-from .topology import component_labels, m_ball
+                        simplex_table, unrank_colex_array)
+from .topology import _m_ball, component_labels
 
 
 # ---------------------------------------------------------------------------
@@ -27,9 +27,8 @@ def nn_all_faces(s: PairedSample) -> np.ndarray:
     """NN(sigma) for every (d-1)-simplex, vectorized over the weight stream."""
     if s.params.p != 1.0:
         raise ValueError("nearest face-weights require p = 1")
-    tbl = simplex_table(s.params.n, s.params.d)
-    w = s.weight_values(np.arange(tbl.num_d, dtype=np.int64))
-    return w[tbl.cofacet_ranks].min(axis=1)
+    w = s.all_weights()
+    return w[simplex_table(s.params.n, s.params.d).cofacet_ranks].min(axis=1)
 
 
 def nn_face(s: PairedSample, sigma) -> float:
@@ -161,7 +160,7 @@ def local_statistic_terms(X: WeightedComplex,
     """
     terms = []
     for fr in X.face_index.faces.tolist():
-        ball = m_ball(X, unrank_colex(fr, X.d - 1, X.n), lf.M)
+        ball = _m_ball(X, [fr], lf.M)
         terms.append(float(lf.g(_localize(ball))))
     single = LocalComplex(X.d, (tuple(range(X.d)),), (), ())
     return terms + [float(lf.g(single))] * isolated_count(X)

@@ -100,7 +100,12 @@ def m_ball(X: WeightedComplex, center: Sequence[int], M: int) -> SubComplexView:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    sources = _center_faces(X, center)
+    return _m_ball(X, _center_faces(X, center), M)
+
+
+def _m_ball(X: WeightedComplex, sources: List[int],
+            M: int) -> SubComplexView:
+    """m_ball from the ranks of the center's (d-1)-simplices."""
     reached = _walk(X, sources, M - 1)[1]
     return _view(X, reached, frozenset(
         X.face_rows[reached].ravel().tolist()).union(sources))

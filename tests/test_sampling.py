@@ -1,12 +1,19 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from rwcomplex import rng
+from rwcomplex.harness import run_cov_nn
+from rwcomplex.perturbation import estimate_variance_and_J
 from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, exp_mean_n,
                                 sample_complex, truncated_params)
+from rwcomplex.simplices import (WeightedComplex, d_simplex_count,
+                                 simplex_table)
+from rwcomplex.statistics import Statistic, nn_all_faces
 
 
 def _params(n=10, d=2, p=0.3, mean=2.0):
@@ -147,3 +154,125 @@ def test_truncation_threshold_equals_conditioned_law():
     frac = float(np.mean(w <= alpha))
     se = math.sqrt(t.p * (1 - t.p) / w.size)
     assert abs(frac - t.p) < 4 * se + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the presence sweep and the full weight draw against per-rank access
+
+def reference_resampled(s, F):
+    """X^F through the per-block presence() sweep that the block kernel
+    replaced: forced bits and all, one rank at a time."""
+    nd = d_simplex_count(s.params.n, s.params.d)
+    fset = np.unique(np.asarray(list(F), dtype=np.int64))
+    block = 1 << 13
+    present = np.concatenate([
+        lo + np.flatnonzero(s.presence(np.arange(
+            lo, min(lo + block, nd), dtype=np.int64)))
+        for lo in range(0, nd, block)])
+    if fset.size:
+        present = np.union1d(np.setdiff1d(present, fset),
+                             fset[s.presence(fset, primed=True)])
+    on_f = np.isin(present, fset)
+    w = np.empty(present.size)
+    w[~on_f] = s.weight_values(present[~on_f])
+    w[on_f] = s.weight_values(present[on_f], primed=True)
+    return WeightedComplex(s.params.n, s.params.d, present, w)
+
+
+def assert_same_complex(X, Y):
+    assert X.present.dtype == Y.present.dtype == np.int64
+    assert np.array_equal(X.present, Y.present)
+    assert np.array_equal(X.weights.view(np.uint64),
+                          Y.weights.view(np.uint64))
+
+
+@pytest.mark.parametrize("n,p", [(60, 1.0 / 60), (9, 1.0)],
+                         ids=["n60-lambda1", "n9-p1"])
+def test_sweep_with_forced_bits_matches_per_rank_reference(n, p):
+    params = _params(n=n, d=2, p=p)
+    nd = params.num_d_simplices
+    X = PairedSample(params, 21).complex()
+    absent = sorted(set(range(nd)) - set(X.present.tolist()))
+    f1, f2 = X.present[[1, 2]].tolist()
+    F = [f1, f2, 5 + (absent[0] if absent else 0)]
+    # a present rank forced to 0, an absent one to 1, ranks past the last
+    # d-simplex, and ranks in F, whose b the primed stream overrides
+    forced = {X.present[0].item(): 0, nd: 1, nd + 7: 0, f1: 0, f2: 1}
+    if absent:
+        forced[absent[-1]] = 1
+    s = PairedSample(params, 21, ForcedBits(b=forced, b_prime={f1: 1}))
+    Xf = s.complex()
+    assert_same_complex(Xf, reference_resampled(s, []))
+    assert not Xf.has(X.present[0].item()) and Xf.present[-1] < nd
+    assert Xf.has(f2) and not Xf.has(f1)
+    if absent:
+        assert Xf.has(absent[-1])
+    assert_same_complex(s.resampled(F), reference_resampled(s, F))
+    plain = PairedSample(params, 21)
+    assert_same_complex(plain.complex(), reference_resampled(plain, []))
+    assert_same_complex(plain.resampled(F), reference_resampled(plain, F))
+
+
+def test_contiguous_streams_use_the_block_kernel(monkeypatch):
+    contiguous = []
+    scattered = rng.uniforms
+
+    def spy(key, counters):
+        c = np.asarray(counters)
+        contiguous.append(c.size > 1 and np.array_equal(c, np.arange(c.size)))
+        return scattered(key, counters)
+    monkeypatch.setattr(rng, "uniforms", spy)
+    params = _params(n=30, d=2, p=0.1)
+    PairedSample(params, 3).complex()
+    s = PairedSample(exp_mean_n(12, 2), 3)
+    w = nn_all_faces(s)
+    run_cov_nn(12, 2, 3, 5, 1)
+    estimate_variance_and_J(
+        Statistic("count", lambda X: float(X.num_present), None),
+        params, 3, 1)
+    assert contiguous and not any(contiguous)
+    monkeypatch.undo()
+    full = s.weight_values(np.arange(math.comb(12, 3)))
+    assert np.array_equal(s.all_weights(), full)
+    assert np.array_equal(w, full[simplex_table(12, 2).cofacet_ranks]
+                          .min(axis=1))
+
+
+def test_sweep_and_full_draw_are_thread_safe():
+    # 117,480 ranks: four kernel blocks, so a buffer shared between calls
+    # would be overwritten mid-stream by the other thread
+    n = 90
+    assert math.comb(n, 3) >= 3 * rng.BLOCK
+    sweep = _params(n=n, d=2, p=1.0 / n)
+    seeds = {0: [1, 2, 3], 1: [11, 12, 13]}
+
+    def both(seed):
+        return (PairedSample(sweep, seed).complex().present,
+                nn_all_faces(PairedSample(exp_mean_n(n, 2), seed)))
+
+    serial = {sd: both(sd) for t in seeds for sd in seeds[t]}
+    same, errors = {}, []
+
+    def worker(t):
+        try:
+            for _ in range(10):
+                for sd in seeds[t]:
+                    same[sd] = all(map(np.array_equal, both(sd), serial[sd]))
+                    if not same[sd]:
+                        return
+        except Exception as exc:     # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in seeds]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert same == {sd: True for sd in serial}

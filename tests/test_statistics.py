@@ -155,6 +155,28 @@ def test_local_statistic_terms_sum():
     assert math.fsum(terms) == pytest.approx(local_statistic(X, lf))
 
 
+def test_local_statistic_terms_walk_face_ranks_without_unranking(
+        monkeypatch):
+    from rwcomplex import simplices, statistics, topology
+    from rwcomplex.topology import m_ball
+    lf = LocalFunctional("cocycle-ratio", make_cocycle_ratio(3), M=2)
+    X = random_complex(9, 2, 14, seed=3)
+    single = LocalComplex(2, ((0, 1),), (), ())
+    want = [float(lf.g(statistics._localize(
+        m_ball(X, unrank_colex(fr, 1, 9), lf.M))))
+        for fr in X.face_index.faces.tolist()] + \
+        [float(lf.g(single))] * isolated_count(X)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return unrank_colex(*args)
+    for mod in (simplices, statistics, topology):
+        monkeypatch.setattr(mod, "unrank_colex", counting, raising=False)
+    assert statistics.local_statistic_terms(X, lf) == want
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # cocycle counts
 

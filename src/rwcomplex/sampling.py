@@ -47,15 +47,22 @@ class WeightDistribution:
                 raise ValueError("cap must be positive")
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=np.float64)
-        if self.kind == "exponential":
-            if self.cap is None:
-                return -self.param * np.log(1.0 - u)
-            scale = 1.0 - math.exp(-self.cap / self.param)
-            return -self.param * np.log(1.0 - u * scale)
-        if self.kind == "uniform":
-            return self.param * (1.0 - u)
-        return np.full_like(u, self.param)
+        """Weights at the uniforms u, in one new array."""
+        out = self._inverse_cdf_over(np.array(u, dtype=np.float64))
+        return out if out.ndim else out[()]
+
+    def _inverse_cdf_over(self, u: np.ndarray) -> np.ndarray:
+        """inverse_cdf(u), written over the float64 array u."""
+        if self.kind == "constant":
+            u.fill(self.param)
+        elif self.kind == "uniform":                      # param * (1 - u)
+            np.multiply(self.param, np.subtract(1.0, u, out=u), out=u)
+        else:                                 # -param * log(1 - u * scale)
+            if self.cap is not None:
+                np.multiply(u, 1.0 - math.exp(-self.cap / self.param), out=u)
+            np.log(np.subtract(1.0, u, out=u), out=u)
+            np.multiply(-self.param, u, out=u)
+        return u
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -168,8 +175,9 @@ class PairedSample:
         return self.params.dist.inverse_cdf(u)
 
     def all_weights(self) -> np.ndarray:
-        """Weights w at every rank 0..C(n, d+1)-1, in rank order."""
-        return self.params.dist.inverse_cdf(rng.uniform_range(
+        """Weights w at every rank 0..C(n, d+1)-1, in rank order, built
+        over the uniforms: one array of C(n, d+1) values."""
+        return self.params.dist._inverse_cdf_over(rng.uniform_range(
             self._key(rng.TAG_W),
             d_simplex_count(self.params.n, self.params.d)))
 
@@ -202,6 +210,8 @@ class PairedSample:
             w = np.empty(present.size)
             w[~on_f] = self.weight_values(present[~on_f])
             w[on_f] = self.weight_values(present[on_f], primed=True)
+        elif present.size == nd:        # every rank: the contiguous stream
+            w = self.all_weights()
         else:
             w = self.weight_values(present)
         return WeightedComplex(self.params.n, self.params.d, present, w)

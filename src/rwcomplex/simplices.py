@@ -126,6 +126,44 @@ def face_rank_array(verts: np.ndarray, n: int) -> np.ndarray:
     return prefix + (cb[:, -1:] - cb)
 
 
+@lru_cache(maxsize=8)
+def _cofacet_plan(n: int, d: int) -> tuple:
+    """Read-only (faces, run starts, ranks) per gap i < d of the (d-1)-faces
+    s: x with s_{i-1} < x < s_i gives the cofacet of rank base_i(s) +
+    C(x, i+1).  Gap 0's runs are the ranks 0, 1, ... in order (ranks None)."""
+    B = _binomials(n, d)
+    V = unrank_colex_array(np.arange(math.comb(n, d)), d - 1, n)
+    below = B[np.arange(1, d + 1), V]               # C(s_j, j+1)
+    above = B[np.arange(2, d + 2), V][:, ::-1].cumsum(axis=1)[:, ::-1]
+    base = below.cumsum(axis=1) - below + above     # base_i(s), column i
+    x0 = np.hstack([np.zeros((len(V), 1), dtype=np.int64), V[:, :-1] + 1])
+    plan = []
+    for i in range(d):
+        faces_ = np.flatnonzero(V[:, i] > x0[:, i])
+        size = V[faces_, i] - x0[faces_, i]
+        starts = size.cumsum() - size
+        x = np.repeat(x0[faces_, i] - starts, size) + np.arange(size.sum())
+        ranks = np.repeat(base[faces_, i], size) + B[i + 1, x]
+        for a in (faces_, starts, ranks):
+            a.setflags(write=False)
+        plan.append((faces_, starts, ranks if i else None))
+    return tuple(plan)
+
+
+def cofacet_minima(w: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Minimum of w over the n-d cofacets of every (d-1)-simplex, in face
+    rank order; w holds one value per d-simplex rank over n vertices."""
+    B = _binomials(n, d)
+    acc = np.full(math.comb(n, d), np.inf)
+    # gap d, top vertex c: block c of w lines up with the faces [0, C(c, d))
+    for m, lo in zip(B[d, d:n].tolist(), B[d + 1, d:n].tolist()):
+        np.minimum(acc[:m], w[lo:lo + m], out=acc[:m])
+    for faces_, starts, ranks in _cofacet_plan(n, d):
+        runs = np.minimum.reduceat(w if ranks is None else w[ranks], starts)
+        acc[faces_] = np.minimum(acc[faces_], runs)
+    return acc
+
+
 @dataclass(frozen=True)
 class WeightedComplex:
     """A d-complex over n vertices: present d-simplex ranks plus weights.
@@ -351,8 +389,9 @@ def read_complex(path) -> WeightedComplex:
 @dataclass(frozen=True)
 class SimplexTable:
     """Colex-ordered enumeration of all d-simplices over n vertices, with
-    per-simplex face ranks and per-face cofacet ranks, for vectorized
-    statistics.  Cached per (n, d)."""
+    per-simplex face ranks and per-face cofacet ranks.  Cached per (n, d).
+    No run path builds it (`nn` uses cofacet_minima); it stays for the
+    tests' references and the benchmark tracer, which hooks its name."""
 
     n: int
     d: int

@@ -15,8 +15,8 @@ import numpy as np
 
 from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
-from .simplices import (SubComplexView, WeightedComplex, cofacet_ranks, faces,
-                        simplex_table, unrank_colex_array)
+from .simplices import (SubComplexView, WeightedComplex, cofacet_minima,
+                        cofacet_ranks, faces, unrank_colex_array)
 from .topology import _m_ball, component_labels
 
 
@@ -27,8 +27,7 @@ def nn_all_faces(s: PairedSample) -> np.ndarray:
     """NN(sigma) for every (d-1)-simplex, vectorized over the weight stream."""
     if s.params.p != 1.0:
         raise ValueError("nearest face-weights require p = 1")
-    w = s.all_weights()
-    return w[simplex_table(s.params.n, s.params.d).cofacet_ranks].min(axis=1)
+    return cofacet_minima(s.all_weights(), s.params.n, s.params.d)
 
 
 def nn_face(s: PairedSample, sigma) -> float:

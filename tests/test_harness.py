@@ -15,9 +15,9 @@ from rwcomplex.harness import (ExperimentConfig, RunSummary,
                                run_nn_face_moments, run_stabilization,
                                run_variance_check, write_replicas_csv,
                                _summarize)
-from rwcomplex.sampling import (ModelParams, WeightDistribution, exp_mean_n,
-                                sample_complex)
-from rwcomplex.statistics import Statistic, isolated_count
+from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
+                                exp_mean_n, sample_complex)
+from rwcomplex.statistics import Statistic, isolated_count, nn_total
 
 
 def _config(**kw):
@@ -184,19 +184,32 @@ def test_replica_fn_is_row_i_of_the_replica_csv(tmp_path):
         assert [fn(i) for i in range(config.replicas)] == values.tolist()
 
 
-def test_isolated_replicas_never_build_the_simplex_table(monkeypatch):
+def _forbid_simplex_table(monkeypatch):
     def forbidden(n, d):
         raise AssertionError("simplex_table(%d, %d) built" % (n, d))
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("rwcomplex") \
                 and hasattr(mod, "simplex_table"):
             monkeypatch.setattr(mod, "simplex_table", forbidden)
+
+
+def test_isolated_replicas_never_build_the_simplex_table(monkeypatch):
+    _forbid_simplex_table(monkeypatch)
     params = ModelParams(30, 2, 2.0 / 30, WeightDistribution("constant", 1.0))
     config = _config(params=params, statistic="isolated", replicas=6)
     s = run_clt(config)
     want = [isolated_count(sample_complex(params, rng.child_seed(5, i)))
             for i in range(6)]
     assert s.mean == float(np.sum(np.array(want, dtype=float)) / 6)
+
+
+def test_nn_replicas_never_build_the_simplex_table(monkeypatch):
+    _forbid_simplex_table(monkeypatch)
+    config = _config(params=exp_mean_n(14, 2), replicas=4)
+    s = run_clt(config)
+    want = [nn_total(PairedSample(config.params, rng.child_seed(5, i)))
+            for i in range(4)]
+    assert s.mean == float(np.sum(np.array(want)) / 4)
 
 
 def test_nan_replica_is_reported_at_the_replica(monkeypatch, capsys):

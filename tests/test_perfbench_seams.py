@@ -41,6 +41,19 @@ def test_traced_name_exists(name):
     assert fn.__module__ == "rwcomplex." + layer, name
 
 
+def test_simplex_table_keeps_the_fields_the_tracer_reads():
+    # the tracer's table hook reads these fields of every table built; a
+    # lost field would crash a traced run, not just zero a metric
+    from rwcomplex.simplices import simplex_table
+    tbl = simplex_table(6, 2)
+    for field in ("n", "d", "verts", "face_ranks", "cofacet_ranks"):
+        assert hasattr(tbl, field), field
+    fake = {}
+    tracing._count_table(fake, 0, (6, 2), {}, tbl)
+    assert list(fake.values()) == [tbl.verts.nbytes + tbl.face_ranks.nbytes
+                                   + tbl.cofacet_ranks.nbytes]
+
+
 def _load_workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", TRACING.parent / "workloads.py")

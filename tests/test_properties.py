@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.sampling import ModelParams, PairedSample, WeightDistribution
-from rwcomplex.simplices import (WeightedComplex, degree, face_rank_array,
+from rwcomplex.simplices import (WeightedComplex, _cofacet_plan,
+                                 cofacet_minima, degree, face_rank_array,
                                  faces, rank_colex, simplex_table,
                                  unrank_colex, unrank_colex_array)
 from rwcomplex.statistics import (cocycle_count_bounded, f_alpha_faces,
@@ -175,6 +176,23 @@ def test_face_statistics_match_table_lookups(X, alpha):
             nn_terms(X)
     else:
         assert nn_terms(X) == nearest.tolist()
+
+
+@SETTINGS
+@given(st.data(), st.integers(1, 4), st.booleans())
+def test_cofacet_minima_match_the_table_gather(data, d, ties):
+    # byte-identical to the gather over the table's cofacet ranks; integer
+    # weights from a small set make ties the common case
+    n = data.draw(st.integers(d + 1, d + 9))
+    nd = math.comb(n, d + 1)
+    values = st.integers(0, 3).map(float) if ties \
+        else st.floats(0.0, 1e6, allow_subnormal=True)
+    w = np.array(data.draw(st.lists(values, min_size=nd, max_size=nd)))
+    want = w[simplex_table(n, d).cofacet_ranks].min(axis=1)
+    assert cofacet_minima(w, n, d).tobytes() == want.tobytes()
+    for arrays in _cofacet_plan(n, d):
+        for a in arrays:
+            assert a is None or not a.flags.writeable
 
 
 BUILTIN_SPECS = ["nn", "nn-alpha:0.5", "nn-alpha:4", "isolated", "cocycle:1",

@@ -65,6 +65,40 @@ def test_inverse_cdf_inverts_cdf():
             assert np.all(x <= dist.cap + 1e-12)
 
 
+def _inverse_cdf_before(dist, u):
+    # the expressions inverse_cdf evaluated with one temporary per step
+    u = np.asarray(u, dtype=np.float64)
+    if dist.kind == "exponential":
+        if dist.cap is None:
+            return -dist.param * np.log(1.0 - u)
+        scale = 1.0 - math.exp(-dist.cap / dist.param)
+        return -dist.param * np.log(1.0 - u * scale)
+    if dist.kind == "uniform":
+        return dist.param * (1.0 - u)
+    return np.full_like(u, dist.param)
+
+
+@pytest.mark.parametrize("dist", [
+    WeightDistribution("exponential", 120.0),
+    WeightDistribution("exponential", 2.0, cap=1.5),
+    WeightDistribution("uniform", 3.0),
+    WeightDistribution("constant", 0.7)], ids=lambda d: d.kind)
+def test_inverse_cdf_is_bit_identical_to_the_plain_expressions(dist):
+    edges = [0.0, 1.0 - 2.0 ** -53, 0.5]
+    u = np.concatenate([edges, rng.uniform_range(rng.stream_key(3, 1), 999)])
+    kept = u.copy()
+    got = dist.inverse_cdf(u)
+    assert u.tobytes() == kept.tobytes()        # the input is left alone
+    assert got.dtype == np.float64 and got.shape == u.shape
+    assert got.tobytes() == _inverse_cdf_before(dist, u).tobytes()
+    assert dist.inverse_cdf(u[::2]).tobytes() == \
+        _inverse_cdf_before(dist, u[::2]).tobytes()
+    for x in edges:
+        one = dist.inverse_cdf(x)
+        assert isinstance(one, np.float64)
+        assert one.tobytes() == _inverse_cdf_before(dist, x).tobytes()
+
+
 def test_weight_law_kolmogorov_smirnov():
     # the materialized weights should follow the declared law
     params = _params(n=12, d=1, p=1.0, mean=3.0)
@@ -224,6 +258,7 @@ def test_contiguous_streams_use_the_block_kernel(monkeypatch):
     monkeypatch.setattr(rng, "uniforms", spy)
     params = _params(n=30, d=2, p=0.1)
     PairedSample(params, 3).complex()
+    sample_complex(exp_mean_n(12, 2), 3)        # p = 1: every rank present
     s = PairedSample(exp_mean_n(12, 2), 3)
     w = nn_all_faces(s)
     run_cov_nn(12, 2, 3, 5, 1)

@@ -124,12 +124,3 @@ def cocycle_dim(sub: SubComplexView, exact: bool = False) -> int:
         return nf
     return nf - rank_pm1(coboundary_matrix(sub), exact=exact)
 
-
-def dump_matrix(matrix: Sequence[Sequence[int]]) -> str:
-    """Dense text dump: `rows cols` header, then one sign row per line."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    lines = ["%d %d" % (nrows, ncols)]
-    for row in matrix:
-        lines.append(" ".join("%d" % x for x in row))
-    return "\n".join(lines) + "\n"

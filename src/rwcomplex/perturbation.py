@@ -4,11 +4,11 @@ The randomized derivative resamples a simplex's presence/weight pair; the
 add-one cost toggles a simplex in and out.  Their two-scale (ball) versions
 quantify stabilization; the estimators here feed the bound evaluators.
 
-Differences of statistics with per-face term lists are accumulated with
-math.fsum over the signed term multiset, so contributions shared by the two
-complexes cancel exactly.  The two-scale identities (zero gap for the
-capped nearest-weight statistic at k >= 1 and for M-local statistics at
-k >= 2M) therefore hold bit-exactly, not merely up to rounding.
+Every difference is the math.fsum of the statistic's near terms
+(Statistic.near_terms) in tau's two states on one complex, so no X + tau or
+X - tau is built and the terms tau cannot change cancel exactly.  The
+two-scale identities (zero gap for the capped nearest-weight statistic at
+k >= 1 and for M-local statistics at k >= 2M) hold bit-exactly.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import rng
 from .sampling import ForcedBits, ModelParams, PairedSample, sample_complex
-from .simplices import WeightedComplex, rank_colex, unrank_colex
+from .simplices import (WeightedComplex, rank_colex, unrank_colex,
+                        unrank_colex_array)
 from .statistics import Statistic
 from .topology import ball_k, canonical_disjoint_pair, connected_within
 
@@ -38,15 +39,27 @@ def _as_rank(tau) -> int:
     return rank_colex(tuple(tau))
 
 
-def _difference(f: Statistic, X_plus: WeightedComplex,
-                X_minus: WeightedComplex) -> float:
-    """f(X_plus) - f(X_minus), with exact term-multiset cancellation when
-    the statistic exposes per-face terms."""
-    if f.terms is not None:
-        signed = list(f.terms(X_plus))
-        signed.extend(-t for t in f.terms(X_minus))
-        return math.fsum(signed)
-    return f.evaluate(X_plus) - f.evaluate(X_minus)
+def _change(f: Statistic, X: WeightedComplex, tau_rank: int,
+            a: Optional[float], b: Optional[float]) -> float:
+    """f(X with tau at weight a) - f(X with tau at weight b), None standing
+    for tau absent: the exact sum of f's near terms of the two states."""
+    signed = list(f.near_terms(X, tau_rank, a))
+    signed.extend(-t for t in f.near_terms(X, tau_rank, b))
+    return math.fsum(signed)
+
+
+def _resampled_states(s: PairedSample, F: Sequence[int], tau_rank: int
+                      ) -> Tuple[WeightedComplex, Optional[float],
+                                 Optional[float]]:
+    """X^F, and tau's weight in X^F and in X^{F + tau} (None: absent); the
+    latter is read from the draws (b', w') at tau."""
+    XF = s.resampled(F)
+    if not 0 <= tau_rank < math.comb(s.params.n, s.params.d + 1):
+        raise ValueError("resample rank out of range")
+    r = np.array([tau_rank])
+    return (XF, XF.weight_of(tau_rank) if XF.has(tau_rank) else None,
+            float(s.weight_values(r, primed=True)[0])
+            if s.presence(r, primed=True)[0] else None)
 
 
 def randomized_derivative(f: Statistic, s: PairedSample,
@@ -56,28 +69,34 @@ def randomized_derivative(f: Statistic, s: PairedSample,
     F = [int(r) for r in F]
     if tau_rank in F:
         raise ValueError("tau must not lie in F")
-    return _difference(f, s.resampled(F), s.resampled(F + [tau_rank]))
+    XF, a, b = _resampled_states(s, F, tau_rank)
+    return _change(f, XF, tau_rank, a, b)
 
 
 def add_one_cost(f: Statistic, X: WeightedComplex, tau,
                  w_tau: float) -> float:
     """D_tau f(X) = f(X + tau) - f(X - tau), tau carrying weight w_tau."""
     tau_rank = _as_rank(tau)
-    return _difference(f, X.with_simplex(tau_rank, w_tau),
-                       X.without_simplex(tau_rank))
+    # refuse what X + tau would: a rank out of range, then a bad weight
+    unrank_colex_array([tau_rank], X.d, X.n)
+    WeightedComplex(X.n, X.d, [tau_rank], [w_tau])
+    return _change(f, X, tau_rank, w_tau, None)
 
 
 def local_add_one_cost(f: Statistic, X: WeightedComplex, tau,
                        w_tau: float, k: int) -> float:
-    """D_tau f(B_k(tau, X)) = f(B_k(tau, X+tau)) - f(B_k(tau, X-tau)),
-    the two balls computed independently on X + tau and X - tau."""
+    """D_tau f(B_k(tau, X)) = f(B_k(tau, X+tau)) - f(B_k(tau, X-tau)).
+
+    Both balls come from one walk of X: for k >= 1,
+    B_k(tau, X + tau) = B_k(tau, X - tau) + tau, since tau's faces are all
+    sources and tau shortens no path from them; at k = 0 both are empty."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     tau_rank = _as_rank(tau)
     tau_verts = unrank_colex(tau_rank, X.d, X.n)
-    plus = ball_k(X.with_simplex(tau_rank, w_tau), tau_verts, k).as_complex()
-    minus = ball_k(X.without_simplex(tau_rank), tau_verts, k).as_complex()
-    return _difference(f, plus, minus)
+    WeightedComplex(X.n, X.d, [tau_rank], [w_tau])  # a bad weight, as X + tau
+    ball = ball_k(X, tau_verts, k).as_complex()
+    return _change(f, ball, tau_rank, w_tau if k else None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +209,12 @@ def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
 def _local_randomized_derivative(f: Statistic, s: PairedSample,
                                  F: Sequence[int], tau_rank: int,
                                  k: int) -> float:
+    """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}), both
+    from one walk of X^F as in local_add_one_cost."""
     tau_verts = unrank_colex(tau_rank, s.params.d, s.params.n)
-    F = [int(r) for r in F]
-    a = ball_k(s.resampled(F), tau_verts, k).as_complex()
-    b = ball_k(s.resampled(F + [tau_rank]), tau_verts, k).as_complex()
-    return _difference(f, a, b)
+    XF, a, b = _resampled_states(s, [int(r) for r in F], tau_rank)
+    ball = ball_k(XF, tau_verts, k).as_complex()
+    return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
 
 
 def estimate_gamma(params: ModelParams, k: int, replicas: int,
@@ -231,8 +251,8 @@ def estimate_rho_probe(f: Statistic, params: ModelParams, k: int,
         w_tau = float(s.weight_values(np.array([tau_rank]))[0])
         w_tp = float(s.weight_values(np.array([tp_rank]))[0])
         X = s.complex()
-        XF = s.resampled(F)
-        XFp = s.resampled(Fp)
+        XF = s.resampled(F) if F else X
+        XFp = s.resampled(Fp) if Fp else X
         a[r] = local_add_one_cost(f, X, tau_rank, w_tau, k) \
             * local_add_one_cost(f, XF, tau_rank, w_tau, k)
         b[r] = local_add_one_cost(f, X, tp_rank, w_tp, k) \

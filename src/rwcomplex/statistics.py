@@ -16,8 +16,18 @@ import numpy as np
 from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
 from .simplices import (SubComplexView, WeightedComplex, cofacet_minima,
-                        cofacet_ranks, faces, unrank_colex_array)
-from .topology import _m_ball, component_labels
+                        cofacet_ranks, faces, unrank_colex,
+                        unrank_colex_array)
+from .topology import _center_faces, _m_ball, _view, _walk, component_labels
+
+
+def _site(X: WeightedComplex, tau_rank: int) -> Tuple[int, list, list]:
+    """tau's position in X.present (-1: absent), its face ranks, and their
+    ids in X's face index (-1: uncovered)."""
+    i = int(np.searchsorted(X.present, tau_rank))
+    ranks = _center_faces(X, unrank_colex(tau_rank, X.d, X.n))
+    return (i if X.present[i:i + 1].tolist() == [tau_rank] else -1, ranks,
+            [X.face_index.find(r) for r in ranks])
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +65,16 @@ def nn_total_complex(X: WeightedComplex) -> float:
     return math.fsum(nn_terms(X))
 
 
+def nn_near(X: WeightedComplex, tau_rank: int,
+            w: Optional[float]) -> List[float]:
+    """f_alpha_near at alpha = inf; raises like nn_terms if the complex,
+    tau at weight w, leaves a face uncovered."""
+    vals = f_alpha_near(X, tau_rank, w, math.inf)
+    if math.inf in vals or isolated_count(X) > _site(X, tau_rank)[2].count(-1):
+        raise ValueError("nn_total undefined: some face has degree 0")
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # alpha-diluted nearest face-weight
 
@@ -71,6 +91,17 @@ def f_alpha_faces(X: WeightedComplex, alpha: float) -> np.ndarray:
 
 def f_alpha(X: WeightedComplex, alpha: float) -> float:
     return math.fsum(f_alpha_faces(X, alpha).tolist())
+
+
+def f_alpha_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
+                 alpha: float) -> List[float]:
+    """The values of tau's faces, tau at weight w (absent if None)."""
+    pos, _, ids = _site(X, tau_rank)
+    _, ptr, simp, _ = X.face_index.lists
+    cap = alpha if w is None else min(w, alpha)
+    return [min([cap] + X.weights[[s for s in simp[ptr[j]:ptr[j + 1]]
+                                   if s != pos]].tolist())
+            if j >= 0 else cap for j in ids]
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +201,20 @@ def local_statistic(X: WeightedComplex, lf: LocalFunctional) -> float:
     return math.fsum(local_statistic_terms(X, lf))
 
 
+def local_statistic_near(X: WeightedComplex, tau_rank: int,
+                         w: Optional[float],
+                         lf: LocalFunctional) -> List[float]:
+    """local_statistic_terms of tau's (2M - 1)-ball, tau at weight w
+    (absent if None).  Only the faces within M - 1 of tau's faces see tau,
+    their M-balls lie in that ball, and all other terms agree between the
+    two states, since tau shortens no path from its own faces."""
+    pos, ranks, _ = _site(X, tau_rank)
+    reach = _walk(X, ranks, 2 * lf.M - 2)[1]
+    Z = _view(X, reach[reach != pos], None).as_complex()
+    return local_statistic_terms(Z if w is None else
+                                 Z.with_simplex(tau_rank, w), lf)
+
+
 # ---------------------------------------------------------------------------
 # M-bounded cocycle count and Betti number
 
@@ -186,19 +231,67 @@ def cocycle_count_bounded(X: WeightedComplex, M: int) -> int:
     rows, cid = X.face_index.rows, component_labels(X)
     small = np.bincount(cid) <= M
     core = np.flatnonzero(small[cid[rows[:, 0]]])
-    total = isolated_count(X) + int(small[cid].sum()) - core.size
+    return int(isolated_count(X) + small[cid].sum() - core.size
+               + _kernel_dim(rows[core], cid[rows[core, 0]]))
+
+
+def _kernel_dim(rows: np.ndarray, comp: np.ndarray) -> int:
+    """dim ker of the boundary map on the d-simplices with face rows
+    `rows`: |core| - rank(core) per component `comp`, the core being what
+    peeling simplices with a face of degree 1 leaves."""
+    core = np.arange(rows.shape[0])
     while core.size:
-        deg = np.bincount(rows[core].ravel(), minlength=cid.size)
+        deg = np.bincount(rows[core].ravel())
         keep = (deg[rows[core]] > 1).all(axis=1)
         if keep.all():
             break
         core = core[keep]
-    comp = cid[rows[core, 0]]
-    for c in np.unique(comp):
-        part = rows[core[comp == c]]
+    total = 0
+    for c in np.unique(comp[core]):
+        part = rows[core[comp[core] == c]]
         total += part.shape[0] - rank_pm1(
             coboundary_rows(part.tolist(), np.unique(part).tolist()))
-    return int(total)
+    return total
+
+
+def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
+                 M: int) -> List[int]:
+    """The cocycle count's part from the strong components holding tau's
+    faces, tau present iff w is not None: each component of X - tau is
+    walked from a face of tau and dropped past M faces (it then adds 0);
+    with tau present they merge into one."""
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    pos, ranks, ids = _site(X, tau_rank)
+    _, ptr, simp, nbr = X.face_index.lists
+    k1, seen, comps = X.d + 1, set(), []
+    for j in ids:
+        if j < 0 or j in seen:
+            continue
+        fs, got, on = [j], {j}, set()
+        for f in fs:
+            if len(fs) > M:
+                break
+            for a in range(ptr[f], ptr[f + 1]):
+                if simp[a] != pos:
+                    on.add(simp[a])
+                    new = set(nbr[k1 * a:k1 * a + k1]) - got
+                    got |= new
+                    fs += new
+        seen |= got
+        comps.append((len(fs), sorted(on)) if len(fs) <= M else None)
+    nf = ids.count(-1)                  # faces X leaves uncovered: 1 each
+    if w is None:
+        comps = [c for c in comps if c]
+    elif None in comps or nf + sum(c[0] for c in comps) > M:
+        return [0]
+    nf += sum(c[0] for c in comps)
+    rows = X.face_rows[[p for c in comps for p in c[1]]]
+    if w is not None:
+        rows = np.vstack([rows, [ranks]])
+    # ranks add up over components; a d-cycle needs d + 2 simplices
+    return [nf - len(rows) + (_kernel_dim(rows, np.zeros(len(rows), int))
+                              if len(rows) > k1 else 0)]
 
 
 def betti_bounded(X: WeightedComplex, M: int) -> int:
@@ -218,11 +311,13 @@ class Statistic:
     statistics (like the uncapped nearest face-weight total) that admit no
     such constant.
 
-    `terms`, when set, returns per-face contributions with
-    fn(X) == sum(terms(X)).  Difference operators then subtract the term
-    multisets under exact (fsum) accumulation, so contributions that agree
-    between two complexes cancel exactly instead of leaving float residue;
-    this is what makes the two-scale identities hold bit-exactly.
+    `near(X, tau_rank, w)` returns the terms of fn at X with the
+    d-simplex tau set to weight w (None: absent) that can depend on tau's
+    state: fn of that complex minus the exact sum of the terms must not
+    depend on the state.  Difference operators subtract two such lists
+    under exact (fsum) accumulation, so the terms left out cancel exactly;
+    this is what makes the two-scale identities hold bit-exactly.  Without
+    it, `near_terms` returns [fn(X with tau in that state)].
 
     `sample_fn`, when set, evaluates a sample without materializing its
     complex and agrees with fn(s.complex()) up to summation order.
@@ -231,11 +326,20 @@ class Statistic:
     name: str
     fn: Callable[[WeightedComplex], float]
     lipschitz_H: Optional[float]
-    terms: Optional[Callable[[WeightedComplex], Sequence[float]]] = None
+    near: Optional[Callable[[WeightedComplex, int, Optional[float]],
+                            Sequence[float]]] = None
     sample_fn: Optional[Callable[[PairedSample], float]] = None
 
     def evaluate(self, X: WeightedComplex) -> float:
         return float(self.fn(X))
+
+    def near_terms(self, X: WeightedComplex, tau_rank: int,
+                   w: Optional[float]) -> Sequence[float]:
+        """The near terms of X with tau at weight w (absent if None)."""
+        if self.near is not None:
+            return self.near(X, tau_rank, w)
+        return [self.evaluate(X.without_simplex(tau_rank) if w is None
+                              else X.with_simplex(tau_rank, w))]
 
     def sample_value(self, s: PairedSample) -> float:
         """The statistic of the sample's primary complex."""
@@ -260,21 +364,24 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
     parts = spec.split(":")
     head = parts[0]
     if head == "nn" and len(parts) == 1:
-        return Statistic("nn", nn_total_complex, None, terms=nn_terms,
+        return Statistic("nn", nn_total_complex, None, near=nn_near,
                          sample_fn=nn_total if params.p == 1.0 else None)
     if head == "nn-alpha" and len(parts) == 2:
         alpha = float(parts[1])
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         return Statistic(spec, lambda X: f_alpha(X, alpha), (d + 1) * alpha,
-                         terms=lambda X: f_alpha_faces(X, alpha).tolist())
+                         near=lambda X, t, w: f_alpha_near(X, t, w, alpha))
     if head == "isolated" and len(parts) == 1:
         return Statistic("isolated", lambda X: float(isolated_count(X)),
-                         float(d + 1))
+                         float(d + 1), near=lambda X, t, w: [
+                             f_alpha_near(X, t, w, math.inf).count(math.inf)])
     if head in ("cocycle", "betti") and len(parts) == 2:
+        # the two differ by a constant, so they share their near terms
         M = int(parts[1])
         fn = cocycle_count_bounded if head == "cocycle" else betti_bounded
-        return Statistic(spec, lambda X: float(fn(X, M)), float((d + 1) * M))
+        return Statistic(spec, lambda X: float(fn(X, M)), float((d + 1) * M),
+                         near=lambda X, t, w: cocycle_near(X, t, w, M))
     if head == "local" and len(parts) == 3:
         gname, M = parts[1], int(parts[2])
         if gname not in BUILTIN_LOCAL_G:
@@ -282,5 +389,6 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
         lf = LocalFunctional(gname, BUILTIN_LOCAL_G[gname](M), M)
         return Statistic(spec, lambda X: local_statistic(X, lf),
                          float((d + 1) * M),
-                         terms=lambda X: local_statistic_terms(X, lf))
+                         near=lambda X, t, w: local_statistic_near(X, t, w,
+                                                                   lf))
     raise ValueError("cannot parse statistic %r" % spec)

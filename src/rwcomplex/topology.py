@@ -135,13 +135,19 @@ class ComponentLabeling:
 def component_labels(X: WeightedComplex) -> np.ndarray:
     """The strong component id of each face of X.face_index, numbered by
     first appearance in face_rows read row by row."""
-    rows = X.face_index.rows
-    lab = np.arange(X.face_index.faces.size)
+    index = X.face_index
+    rows = index.rows
+    lab = np.arange(index.faces.size)
     while rows.size:
-        # min-label propagation through the simplices, then pointer jumping
-        new = lab.copy()
-        np.minimum.at(new, rows, new[rows].min(axis=1, keepdims=True))
-        new = new[new]
+        # each face takes the least label on its simplices (over the CSR),
+        # the faces its old label names adopt it (hooking), then pointer
+        # jumping to a fixed point
+        new = np.minimum.reduceat(lab[rows].min(axis=1)[index.simp],
+                                  index.ptr[:-1])
+        np.minimum.at(new, lab, new)
+        jumped = new[new]
+        while not np.array_equal(jumped, new):
+            new, jumped = jumped, jumped[jumped]
         if np.array_equal(new, lab):
             break
         lab = new

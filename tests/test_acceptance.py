@@ -20,16 +20,20 @@ from rwcomplex.cli import main as cli_main
 from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.harness import (ExperimentConfig, run_clt, run_cov_nn,
                                run_nn_face_moments, run_variance_check)
-from rwcomplex.perturbation import (add_one_cost, estimate_addone_mean,
+from rwcomplex.perturbation import (add_one_cost, canonical_tau_pair,
+                                    estimate_addone_mean,
                                     estimate_delta_tilde, estimate_gamma)
-from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
-                                exp_mean_n, sample_complex)
+from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
+                                WeightDistribution, exp_mean_n,
+                                sample_complex)
 from rwcomplex.simplices import (SubComplexView, WeightedComplex, rank_colex,
                                  unrank_colex)
 from rwcomplex.statistics import (isolated_count, make_statistic,
                                   nn_all_faces)
 from rwcomplex.topology import (canonical_disjoint_pair, components,
                                 component_view, gamma_exact)
+
+from test_perturbation import ref_add_one_cost
 
 mpmath.mp.dps = 40
 
@@ -101,12 +105,29 @@ def test_ac05_two_scale_gap_exactly_zero():
     e1 = estimate_delta_tilde(f, params, k=1, replicas=500, seed=505)
     g = make_statistic("local:cocycle-ratio:1", params)
     e2 = estimate_delta_tilde(g, params, k=2, replicas=500, seed=506)
+    # The gap compares add_one_cost with local_add_one_cost, and both sum
+    # the statistic's near terms.  On the same instances, add_one_cost must
+    # also equal f(X + tau) - f(X - tau) on the two full complexes, so a
+    # wrong near cannot pass.
+    tau, tau_prime = (rank_colex(t) for t in canonical_tau_pair(10, 2))
+    off = 0
+    for stat, seed in ((f, 505), (g, 506)):
+        for i in (0, 1):
+            for r in range(500):
+                s = PairedSample(params, rng.child_seed(seed, 2 * r + i),
+                                 ForcedBits(b={tau_prime: i}))
+                X = s.complex()
+                w = float(s.weight_values(np.array([tau]))[0])
+                off += add_one_cost(stat, X, tau, w) != \
+                    ref_add_one_cost(stat, X, tau, w)
     _check("AC05 two-scale stabilization gap vanishes exactly",
            e1.point_estimate == 0.0 and e1.std_error == 0.0
-           and e2.point_estimate == 0.0 and e2.std_error == 0.0,
+           and e2.point_estimate == 0.0 and e2.std_error == 0.0
+           and off == 0,
            "thresholded nn at k=1: (%r, %r); local M=1 at k=2M: (%r, %r); "
-           "500 instances each" % (e1.point_estimate, e1.std_error,
-                                   e2.point_estimate, e2.std_error))
+           "500 instances each; add_one_cost off the full two-complex "
+           "difference on %d" % (e1.point_estimate, e1.std_error,
+                                 e2.point_estimate, e2.std_error, off))
 
 
 def _oracle_connection_histogram(n, d, kmax):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 
-from rwcomplex.cohomology import (coboundary_matrix, cocycle_dim, dump_matrix,
+from rwcomplex.cohomology import (coboundary_matrix, cocycle_dim,
                                   rank_fraction_free, rank_mod_p, rank_pm1)
 from rwcomplex.simplices import SubComplexView, WeightedComplex
 from rwcomplex.statistics import cocycle_count_bounded
@@ -92,8 +92,3 @@ def test_coboundary_signs():
     assert sorted(x for x in m[0] if x) == [-1, 1, 1]
     assert sum(abs(x) for x in m[0]) == 3
 
-
-def test_dump_matrix_format():
-    text = dump_matrix([[1, -1], [0, 1]])
-    assert text == "2 2\n1 -1\n0 1\n"
-    assert dump_matrix([]) == "0 0\n"

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwcomplex import rng
-from rwcomplex.perturbation import (add_one_cost, canonical_tau_pair,
+from rwcomplex.perturbation import (_local_randomized_derivative,
+                                    add_one_cost, canonical_tau_pair,
                                     estimate_addone_mean,
                                     estimate_delta_tilde, estimate_gamma,
                                     estimate_rho_probe,
@@ -14,8 +16,84 @@ from rwcomplex.perturbation import (add_one_cost, canonical_tau_pair,
                                     StabilizationEstimate)
 from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, sample_complex)
-from rwcomplex.simplices import WeightedComplex, faces, rank_colex
-from rwcomplex.statistics import Statistic, make_statistic
+from rwcomplex.simplices import (WeightedComplex, faces, rank_colex,
+                                 unrank_colex)
+from rwcomplex.statistics import (BUILTIN_LOCAL_G, LocalFunctional,
+                                  Statistic, f_alpha_faces, local_statistic,
+                                  local_statistic_near,
+                                  local_statistic_terms, make_statistic,
+                                  nn_terms)
+from rwcomplex.topology import ball_k
+
+
+# ---------------------------------------------------------------------------
+# the full two-complex reference the difference operators are pinned to
+
+# an ungated, nonlinear g: unlike the built-in ones, it tells an M-ball cut
+# short at the edge of tau's neighbourhood from the whole ball
+TEST_LOCAL_G = {**BUILTIN_LOCAL_G,
+                "num-lower": lambda M: lambda local: local.num_lower ** 2.0}
+
+
+def local_stat(spec, params):
+    """make_statistic, plus local:num-lower:<M> (g = f_{d-1}^2) built
+    from the public local_statistic pieces as a user would."""
+    if not spec.startswith("local:num-lower:"):
+        return make_statistic(spec, params)
+    M = int(spec.split(":")[2])
+    lf = LocalFunctional("num-lower", TEST_LOCAL_G["num-lower"](M), M)
+    return Statistic(spec, lambda X: local_statistic(X, lf), None,
+                     near=lambda X, t, w: local_statistic_near(X, t, w, lf))
+
+
+def reference_terms(f):
+    """The per-face term list of a built-in statistic that has one."""
+    head, *rest = f.name.split(":")
+    if f.name == "nn":
+        return nn_terms
+    if head == "nn-alpha":
+        return lambda X: f_alpha_faces(X, float(rest[0])).tolist()
+    if head == "local":
+        M = int(rest[1])
+        lf = LocalFunctional(rest[0], TEST_LOCAL_G[rest[0]](M), M)
+        return lambda X: local_statistic_terms(X, lf)
+    return None
+
+
+def full_difference(f, X_plus, X_minus):
+    """f(X_plus) - f(X_minus) on two built complexes, with exact term
+    multiset cancellation for statistics with per-face terms."""
+    terms = reference_terms(f)
+    if terms is not None:
+        signed = list(terms(X_plus))
+        signed.extend(-t for t in terms(X_minus))
+        return math.fsum(signed)
+    return f.evaluate(X_plus) - f.evaluate(X_minus)
+
+
+def ref_add_one_cost(f, X, tau_rank, w):
+    return full_difference(f, X.with_simplex(tau_rank, w),
+                           X.without_simplex(tau_rank))
+
+
+def ref_local_add_one_cost(f, X, tau_rank, w, k):
+    verts = unrank_colex(tau_rank, X.d, X.n)
+    return full_difference(
+        f, ball_k(X.with_simplex(tau_rank, w), verts, k).as_complex(),
+        ball_k(X.without_simplex(tau_rank), verts, k).as_complex())
+
+
+def ref_randomized_derivative(f, s, F, tau_rank):
+    if tau_rank in F:
+        raise ValueError("tau must not lie in F")
+    return full_difference(f, s.resampled(F), s.resampled(F + [tau_rank]))
+
+
+def ref_local_randomized_derivative(f, s, F, tau_rank, k):
+    verts = unrank_colex(tau_rank, s.params.d, s.params.n)
+    return full_difference(
+        f, ball_k(s.resampled(F), verts, k).as_complex(),
+        ball_k(s.resampled(F + [tau_rank]), verts, k).as_complex())
 
 
 def _params(n=8, d=2, p=0.25, mean=2.0):
@@ -227,3 +305,93 @@ def test_stabilization_estimate_validation():
     params = _params()
     with pytest.raises(ValueError):
         StabilizationEstimate("gamma", 0.0, 0.0, 1, params)
+
+
+# ---------------------------------------------------------------------------
+# the near-term differences against the full two-complex reference
+
+BUILTIN_SPECS = ("nn", "nn-alpha:0.8", "isolated", "cocycle:1", "cocycle:3",
+                 "cocycle:1000000", "betti:2", "local:isolated:1",
+                 "local:isolated:2", "local:cocycle-ratio:2",
+                 "local:cocycle-ratio:4", "local:num-lower:2",
+                 "local:num-lower:3")
+
+
+def _outcome(fn, *args):
+    """The result bit for bit, or the error it raised."""
+    try:
+        return float(fn(*args)).hex()
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+@given(data=st.data())
+def test_differences_match_the_two_complex_reference(spec, d, data):
+    # every operator, with tau present or absent (forced or not), its
+    # weight replaced, in or out of F, k = 0 included; nn at p < 1 checks
+    # the uncovered-face error
+    n = data.draw(st.integers(d + 2, 8))
+    nd = math.comb(n, d + 1)
+    p = data.draw(st.sampled_from((0.2, 0.5, 0.9, 1.0)))
+    params = ModelParams(n, d, p, WeightDistribution("exponential", 1.0))
+    f = local_stat(spec, params)
+    tau = data.draw(st.integers(0, nd - 1))
+    bits = st.one_of(st.just({}), st.builds(lambda v: {tau: v},
+                                            st.integers(0, 1)))
+    s = PairedSample(params, data.draw(st.integers(0, 1 << 20)),
+                     ForcedBits(b=data.draw(bits), b_prime=data.draw(bits)))
+    F = data.draw(st.lists(st.integers(0, nd - 1), max_size=3))
+    k = data.draw(st.integers(0, 3))
+    X = s.resampled(data.draw(st.lists(st.integers(0, nd - 1),
+                                       max_size=2)))
+    w = data.draw(st.floats(0.0, 3.0))
+    assert _outcome(add_one_cost, f, X, tau, w) == \
+        _outcome(ref_add_one_cost, f, X, tau, w)
+    assert _outcome(local_add_one_cost, f, X, tau, w, k) == \
+        _outcome(ref_local_add_one_cost, f, X, tau, w, k)
+    assert _outcome(randomized_derivative, f, s, F, tau) == \
+        _outcome(ref_randomized_derivative, f, s, F, tau)
+    assert _outcome(_local_randomized_derivative, f, s, F, tau, k) == \
+        _outcome(ref_local_randomized_derivative, f, s, F, tau, k)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_differences_never_toggle_the_full_complex(spec, monkeypatch):
+    # neither X + tau, X - tau nor X^{F + tau} may be built: each
+    # difference reads the one complex it is given
+    params = ModelParams(8, 2, 1.0 if spec == "nn" else 0.4,
+                         WeightDistribution("exponential", 1.0))
+    f = local_stat(spec, params)
+    tau = rank_colex((0, 1, 2))
+    full = []
+
+    def resampled(self, F):
+        if tau in list(F):
+            raise AssertionError("X^{F + tau} built")
+        full.append(real_resampled(self, F))
+        return full[-1]
+
+    def refuse(name):
+        method = getattr(WeightedComplex, name)
+
+        def wrapped(self, *args):
+            if any(self is Y for Y in full):
+                raise AssertionError("%s on the full complex" % name)
+            return method(self, *args)
+        return wrapped
+    real_resampled = PairedSample.resampled
+    monkeypatch.setattr(PairedSample, "resampled", resampled)
+    for name in ("with_simplex", "without_simplex"):
+        monkeypatch.setattr(WeightedComplex, name, refuse(name))
+    for b, bp in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        s = PairedSample(params, 5, ForcedBits(b={tau: b}, b_prime={tau: bp}))
+        X = s.complex()
+        add_one_cost(f, X, tau, 0.7)
+        add_one_cost(f, X, tau + 1, 0.7)
+        local_add_one_cost(f, X, tau, 0.7, 50)
+        randomized_derivative(f, s, [], tau)
+        randomized_derivative(f, s, [3, 40], tau)
+        _local_randomized_derivative(f, s, [3], tau, 50)

@@ -109,6 +109,27 @@ def test_balls_and_degrees_match_the_dict_reference(d, data):
                 check_view(Y, m_ball(Y, center, M), *dict_ball(Y, center, M))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@SETTINGS
+@given(st.data())
+def test_ball_of_x_plus_tau_is_ball_of_x_minus_tau_plus_tau(d, data):
+    # what lets one walk of X serve both balls of a difference: tau's faces
+    # are all sources, so tau shortens no path; at k = 0 both are empty
+    X = data.draw(complexes(min_d=d, max_d=d))
+    tau = data.draw(st.integers(0, math.comb(X.n, d + 1) - 1))
+    center = unrank_colex(tau, d, X.n)
+    for k in range(4):
+        plus = ball_k(X.with_simplex(tau, 0.5), center, k)
+        minus = ball_k(X.without_simplex(tau), center, k)
+        of_x = ball_k(X, center, k)
+        assert dict(zip(plus.included, plus.weights)) == \
+            {**dict(zip(minus.included, minus.weights)),
+             **({tau: 0.5} if k else {})}
+        assert set(of_x.included) - {tau} == set(minus.included)
+        if k == 0:
+            assert plus.included == minus.included == ()
+
+
 def check_view(X, view, included, lower):
     assert view.included == tuple(included)
     assert view.weights == tuple(X.weight_of(r) for r in included)
@@ -129,6 +150,23 @@ dense_complexes = complexes(max_n=8, min_d=2, max_d=2, min_present=10,
 @given(st.data())
 def test_components_match_bfs_reference(d, data):
     X = data.draw(complexes(min_d=d, max_d=d))
+    assert components(X) == bfs_components(X)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@SETTINGS
+@given(st.data())
+def test_components_of_long_strips_match_bfs_reference(d, data):
+    # strips of d-simplices {i, ..., i + d} under a random vertex order:
+    # paths of up to ~60 steps, where hooking bounds the label rounds
+    length = data.draw(st.integers(1, 60))
+    n = length + d
+    perm = data.draw(st.permutations(range(n)))
+    gaps = data.draw(st.sets(st.integers(0, length - 1), max_size=3))
+    ranks = sorted(rank_colex(tuple(sorted(perm[i:i + d + 1])))
+                   for i in range(length) if i not in gaps)
+    X = WeightedComplex(n, d, np.array(ranks, dtype=np.int64),
+                        np.ones(len(ranks)))
     assert components(X) == bfs_components(X)
 
 

@@ -11,14 +11,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import bounds, harness, topology
-from .harness import ExperimentConfig
-from .perturbation import estimate_gamma
-from .sampling import ModelParams, WeightDistribution, sample_complex
-from .simplices import read_complex, write_complex
-from .statistics import make_statistic
+# Each command imports the package modules it runs inside its own body, so
+# a command loads only what it uses (`bound` loads no numpy).
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
+    from .sampling import WeightDistribution
 
 
 class UsageError(Exception):
@@ -32,6 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_weights(spec: str, n: int) -> WeightDistribution:
     """Weight law flag: exp:mean=<m> | uniform:bound=<b> | constant:<c>."""
+    from .sampling import WeightDistribution
     if spec == "default":
         return WeightDistribution("exponential", float(n))
     head, _, rest = spec.partition(":")
@@ -71,6 +71,8 @@ def parse_config(text: str, overrides: Optional[dict] = None
     dist, out, mode.  Unknown fields are rejected; every offending field is
     listed.
     """
+    from .harness import ExperimentConfig
+    from .sampling import ModelParams, WeightDistribution
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -221,6 +223,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_generate(args) -> int:
+    from .sampling import ModelParams, sample_complex
+    from .simplices import write_complex
     p = _resolve_p(args.n, args.p, args.lam)
     dist = parse_weights(args.weights, args.n)
     params = ModelParams(args.n, args.d, p, dist)
@@ -230,6 +234,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stat(args) -> int:
+    from .sampling import ModelParams, WeightDistribution
+    from .simplices import read_complex
+    from .statistics import make_statistic
     X = read_complex(args.infile)
     # the model parameters only carry (n, d) context for the grammar here
     params = ModelParams(X.n, X.d, 1.0,
@@ -242,6 +249,7 @@ def _cmd_stat(args) -> int:
 
 def _cmd_clt(args) -> int:
     """clt and variance: one summary of replicated values."""
+    from . import harness
     config = _config_from_args(args)
     run = harness.run_variance_check if args.command == "variance" \
         else harness.run_clt
@@ -251,6 +259,7 @@ def _cmd_clt(args) -> int:
 
 
 def _cmd_stabilization(args) -> int:
+    from . import harness
     config = _config_from_args(args)
     record = harness.run_stabilization(config, args.k)
     _emit(record, args.out)
@@ -258,6 +267,9 @@ def _cmd_stabilization(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from . import bounds, topology
+    from .perturbation import estimate_gamma
+    from .sampling import ModelParams, WeightDistribution
     p = _resolve_p(args.n, args.p, args.lam)
     params = ModelParams(args.n, args.d, p,
                          WeightDistribution("constant", 1.0))
@@ -272,6 +284,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from . import bounds
     if args.sigma_sq == "auto:n^d":
         sigma_sq = float(args.n) ** args.d
     else:
@@ -293,6 +306,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_cov_nn(args) -> int:
+    from . import harness
     record = harness.run_cov_nn(args.n, args.d, args.replicas, args.inner,
                                 args.seed)
     _emit(record, args.out)

@@ -95,8 +95,16 @@ def local_add_one_cost(f: Statistic, X: WeightedComplex, tau,
     tau_rank = _as_rank(tau)
     tau_verts = unrank_colex(tau_rank, X.d, X.n)
     WeightedComplex(X.n, X.d, [tau_rank], [w_tau])  # a bad weight, as X + tau
+    return _ball_change(f, X, tau_rank, tau_verts, w_tau, None, k)
+
+
+def _ball_change(f: Statistic, X: WeightedComplex, tau_rank: int,
+                 tau_verts: tuple, a: Optional[float], b: Optional[float],
+                 k: int) -> float:
+    """_change on B_k(tau, X) in place of X: tau at weight a against b on
+    the balls of the two states, both from one walk of X."""
     ball = ball_k(X, tau_verts, k).as_complex()
-    return _change(f, ball, tau_rank, w_tau if k else None, None)
+    return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +195,11 @@ def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
                 fb[tau_rank] = b_tau
                 s = PairedSample(params, child, ForcedBits(
                     b=fb, b_prime={tau_rank: 1 - b_tau}))
-                g_glob = randomized_derivative(f, s, [], tau_rank)
-                g_loc = _local_randomized_derivative(f, s, [], tau_rank, k)
+                # one X^F serves the global and the local derivative
+                XF, a, b = _resampled_states(s, [], tau_rank)
+                g_glob = _change(f, XF, tau_rank, a, b)
+                g_loc = _ball_change(f, XF, tau_rank, unrank_colex(
+                    tau_rank, params.d, params.n), a, b, k)
             else:
                 s = PairedSample(params, child, ForcedBits(b=forced))
                 X = s.complex()
@@ -213,8 +224,7 @@ def _local_randomized_derivative(f: Statistic, s: PairedSample,
     from one walk of X^F as in local_add_one_cost."""
     tau_verts = unrank_colex(tau_rank, s.params.d, s.params.n)
     XF, a, b = _resampled_states(s, [int(r) for r in F], tau_rank)
-    ball = ball_k(XF, tau_verts, k).as_complex()
-    return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
+    return _ball_change(f, XF, tau_rank, tau_verts, a, b, k)
 
 
 def estimate_gamma(params: ModelParams, k: int, replicas: int,
@@ -253,10 +263,13 @@ def estimate_rho_probe(f: Statistic, params: ModelParams, k: int,
         X = s.complex()
         XF = s.resampled(F) if F else X
         XFp = s.resampled(Fp) if Fp else X
-        a[r] = local_add_one_cost(f, X, tau_rank, w_tau, k) \
-            * local_add_one_cost(f, XF, tau_rank, w_tau, k)
-        b[r] = local_add_one_cost(f, X, tp_rank, w_tp, k) \
-            * local_add_one_cost(f, XFp, tp_rank, w_tp, k)
+        # where F (F') is empty, XF (XFp) is X and the cost is squared
+        ga = local_add_one_cost(f, X, tau_rank, w_tau, k)
+        a[r] = ga * (local_add_one_cost(f, XF, tau_rank, w_tau, k)
+                     if F else ga)
+        gb = local_add_one_cost(f, X, tp_rank, w_tp, k)
+        b[r] = gb * (local_add_one_cost(f, XFp, tp_rank, w_tp, k)
+                     if Fp else gb)
     prod = moments(a)[2] * moments(b)[2]
     cov = float(np.sum(prod) / (replicas - 1))
     se = math.sqrt(moments(prod)[1]) / math.sqrt(replicas)

@@ -194,10 +194,13 @@ class PairedSample:
     def resampled(self, F: Iterable[int]) -> WeightedComplex:
         """X^F: the coupled complex using (b', w') on F and (b, w) elsewhere."""
         nd = d_simplex_count(self.params.n, self.params.d)
-        fset = np.unique(np.asarray(list(F), dtype=np.int64)) \
-            if not isinstance(F, np.ndarray) else np.unique(F)
-        if fset.size and (fset[0] < 0 or fset[-1] >= nd):
-            raise ValueError("resample rank out of range")
+        fset = F if isinstance(F, np.ndarray) \
+            else np.asarray(list(F), dtype=np.int64)
+        # np.unique imports numpy.ma, which the primary complex never needs
+        if fset.size:
+            fset = np.unique(fset)
+            if fset[0] < 0 or fset[-1] >= nd:
+                raise ValueError("resample rank out of range")
         present = rng.ranks_below(self._key(rng.TAG_B), nd, self.params.p)
         for r, v in (self.forced.b if self.forced else {}).items():
             if 0 <= r < nd:     # forced ranks out of range are ignored

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -347,40 +348,54 @@ class SubComplexView:
 
 def write_complex(path, X: WeightedComplex) -> None:
     """Line-oriented text format: header `n=<n> d=<d>`, then one line per
-    present d-simplex `v0,...,vd,weight` with vertices ascending."""
-    verts = unrank_colex_array(X.present, X.d, X.n).tolist()
+    present d-simplex `v0,...,vd,weight` with vertices ascending and the
+    weight as its repr, in rank order."""
+    line = ",".join(["%d"] * (X.d + 1)) + ",%r\n"
+    cols = unrank_colex_array(X.present, X.d, X.n).T.tolist()
+    body = "".join(map(line.__mod__, zip(*cols, X.weights.tolist())))
     with open(path, "w") as fh:
-        fh.write("n=%d d=%d\n" % (X.n, X.d))
-        for vs, w in zip(verts, X.weights.tolist()):
-            fh.write(",".join(map(str, vs)) + "," + repr(w) + "\n")
+        fh.write("n=%d d=%d\n%s" % (X.n, X.d, body))
 
 
 def read_complex(path) -> WeightedComplex:
+    """Read the format of write_complex: a header whose first two words
+    give n and d after an `=`, then lines that are blank or hold d+2
+    comma-separated fields, read by int() and float(), in any order (the
+    full grammar is in the README).  Anything else raises ValueError."""
     with open(path) as fh:
-        header = fh.readline().split()
-        try:
-            n = int(header[0].split("=")[1])
-            d = int(header[1].split("=")[1])
-        except (IndexError, ValueError):
-            raise ValueError("malformed header: %r" % (header,))
-        ranks = []
-        weights = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            verts = tuple(int(p) for p in parts[:-1])
-            if len(verts) != d + 1:
-                raise ValueError("expected %d vertices: %r" % (d + 1, line))
+        header, _, body = fh.read().partition("\n")
+    header = header.split()
+    try:
+        n = int(header[0].split("=")[1])
+        d = int(header[1].split("=")[1])
+    except (IndexError, ValueError):
+        raise ValueError("malformed header: %r" % (header,))
+    if not 1 <= d < n:
+        raise ValueError("need 1 <= d < n")
+    lines = [ln for ln in map(str.strip, body.split("\n")) if ln]
+    if not lines:
+        return WeightedComplex(n, d, [], [])
+    if set(map(str.count, lines, repeat(","))) != {d + 1}:
+        line = next(ln for ln in lines if ln.count(",") != d + 1)
+        raise ValueError("expected %d vertices: %r" % (d + 1, line))
+    fields = ",".join(lines).split(",")
+    cols = [list(map(int, fields[j::d + 2])) for j in range(d + 1)]
+    V = np.array(cols, dtype=np.int64).T \
+        if min(map(min, cols)) >= 0 and max(map(max, cols)) < n else None
+    if V is None or np.any(V[:, 1:] <= V[:, :-1]):
+        for verts in zip(*cols):     # raises at the first offending line
             check_simplex(verts, n)
-            ranks.append(rank_colex(verts))
-            weights.append(float(parts[-1]))
-    order = np.argsort(np.asarray(ranks, dtype=np.int64), kind="stable")
-    ranks = np.asarray(ranks, dtype=np.int64)[order]
-    if ranks.size and np.any(np.diff(ranks) == 0):
+    # rank = sum_i C(v_i, i+1); a saturated or wrapped sum is past int64
+    terms = _binomials(int(V.max()), d)[np.arange(1, d + 2), V]
+    ranks = terms.cumsum(axis=1)
+    if np.any(terms == _INT64_MAX) or np.any(ranks < 0):
+        raise ValueError("simplex rank out of the int64 range")
+    weights = np.array(list(map(float, fields[d + 1::d + 2])))
+    order = np.argsort(ranks[:, -1], kind="stable")
+    ranks = ranks[order, -1]
+    if np.any(np.diff(ranks) == 0):
         raise ValueError("duplicate simplex in complex file")
-    return WeightedComplex(n, d, ranks, np.asarray(weights)[order])
+    return WeightedComplex(n, d, ranks, weights[order])
 
 
 # ---------------------------------------------------------------------------

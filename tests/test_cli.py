@@ -66,11 +66,12 @@ def test_exit_codes(tmp_path, capsys):
 
 
 def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
-    import rwcomplex.cli
+    import rwcomplex.sampling
 
     def exhausted(params, seed):
         raise MemoryError("Unable to allocate 24.5 TiB")
-    monkeypatch.setattr(rwcomplex.cli, "sample_complex", exhausted)
+    # generate looks sample_complex up in sampling when it runs
+    monkeypatch.setattr(rwcomplex.sampling, "sample_complex", exhausted)
     assert main(["generate", "--n", "3000", "--d", "3", "--lambda", "1",
                  "--seed", "1", "--out", str(tmp_path / "c.txt")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -90,6 +91,49 @@ def test_oversized_instance_fails_fast(tmp_path):
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: C(3000, 4) = ")
     assert not (tmp_path / "c.txt").exists()
+
+
+IMPORT_BUDGET = """
+import json, sys
+import rwcomplex.cli
+loaded = [sorted(sys.modules)]
+for argv in json.loads(sys.argv[1]):
+    assert rwcomplex.cli.main(argv) == 0, argv
+    loaded.append(sorted(sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    # fresh processes: one for `bound`, one for `generate` then `stat`
+    import rwcomplex
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rwcomplex.__file__).resolve().parents[1]))
+
+    def loaded(*argvs):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_BUDGET, json.dumps(argvs)],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return [set(m) for m in json.loads(proc.stdout.splitlines()[-1])]
+    path = str(tmp_path / "c.txt")
+    on_import, bound = loaded(["bound", "--formula", "main", "--n", "100",
+                               "--d", "2", "--lambda", "1", "--k", "2",
+                               "--out", str(tmp_path / "b.json")])
+    assert "numpy" not in on_import
+    assert "numpy" not in bound and "rwcomplex.bounds" in bound
+    _, generate, stat = loaded(
+        ["generate", "--n", "30", "--d", "2", "--lambda", "2", "--seed", "1",
+         "--out", path],
+        ["stat", "--in", path, "--stat", "isolated", "--out",
+         str(tmp_path / "s.json")])
+    assert "rwcomplex.sampling" in generate
+    assert not generate & {"rwcomplex.harness", "rwcomplex.perturbation",
+                           "rwcomplex.statistics", "rwcomplex.bounds",
+                           "numpy.ma"}
+    assert "rwcomplex.statistics" in stat
+    assert not stat & {"rwcomplex.harness", "rwcomplex.perturbation",
+                       "rwcomplex.bounds"}
 
 
 def test_parse_weights():

@@ -256,6 +256,35 @@ def test_rho_probe_rejects_bad_F():
         estimate_rho_probe(f, params, 1, [rank_colex(tau)], [], 10, 0)
 
 
+def test_estimates_sample_and_walk_each_complex_once(monkeypatch):
+    # randomized delta_tilde: one X^F per replica serves both derivatives;
+    # rho probe: with F (F') empty, one walk of X at tau (tau')
+    import rwcomplex.perturbation as perturbation
+    params = _params(n=10, p=0.4)
+    f = make_statistic("cocycle:2", params)
+    sweeps, walks = [], []
+    real_resampled = PairedSample.resampled
+    real_local = perturbation.local_add_one_cost
+
+    def resampled(self, F):
+        sweeps.append(list(F))
+        return real_resampled(self, F)
+
+    def local(*args):
+        walks.append(args[2])
+        return real_local(*args)
+    monkeypatch.setattr(PairedSample, "resampled", resampled)
+    monkeypatch.setattr(perturbation, "local_add_one_cost", local)
+    estimate_delta_tilde(f, params, k=1, replicas=2, seed=3,
+                         randomized=True)
+    assert sweeps == [[]] * 4          # 2 replicas x 2 conditions
+    estimate_rho_probe(f, params, 1, [], [], 2, 3)
+    assert len(walks) == 4
+    walks.clear()
+    estimate_rho_probe(f, params, 1, [3], [9], 2, 3)
+    assert len(walks) == 8
+
+
 def test_forced_bits_match_rejection_sampling():
     # conditioning by forcing a presence bit must agree with rejection
     params = _params(n=7, d=2, p=0.5)

@@ -103,7 +103,7 @@ def _ball_change(f: Statistic, X: WeightedComplex, tau_rank: int,
                  k: int) -> float:
     """_change on B_k(tau, X) in place of X: tau at weight a against b on
     the balls of the two states, both from one walk of X."""
-    ball = ball_k(X, tau_verts, k).as_complex()
+    ball = ball_k(X, tau_verts, k)
     return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
 
 

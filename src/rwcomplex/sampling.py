@@ -181,12 +181,6 @@ class PairedSample:
             self._key(rng.TAG_W),
             d_simplex_count(self.params.n, self.params.d)))
 
-    def quadruple(self, ranks):
-        """(b, w, b', w') arrays at the given ranks."""
-        return (self.presence(ranks), self.weight_values(ranks),
-                self.presence(ranks, primed=True),
-                self.weight_values(ranks, primed=True))
-
     def complex(self) -> WeightedComplex:
         """The primary complex X."""
         return self.resampled(())

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -260,6 +260,13 @@ def _indexed(n: int, d: int, present, weights,
     return X
 
 
+def _sub(X: WeightedComplex, pos: np.ndarray) -> WeightedComplex:
+    """The present simplices of X at ascending positions `pos`, with their
+    weights and face rows taken from X."""
+    return _indexed(X.n, X.d, X.present[pos], X.weights[pos],
+                    X.face_rows[pos])
+
+
 class FaceIndex:
     """Face incidence of a complex, from one stable argsort of its face rows:
     the covered (d-1)-simplices get ids 0, 1, ... in ascending rank, and the
@@ -296,51 +303,6 @@ def degree(X: WeightedComplex, sigma: Sequence[int]) -> int:
         raise ValueError("sigma must be a (d-1)-simplex")
     ptr, j = X.face_index.lists[1], X.face_index.find(rank_colex(tuple(sigma)))
     return 0 if j < 0 else ptr[j + 1] - ptr[j]
-
-
-@dataclass(frozen=True)
-class SubComplexView:
-    """A subset of d-simplices of an (n, d) complex.
-
-    If `lower_faces` is None, the view carries the full implicit (d-1)-
-    skeleton (as for k-neighborhood balls).  Otherwise it lists exactly the
-    (d-1)-simplex ranks of the subcomplex (as for M-balls and strongly
-    connected components, which exclude ambient isolated simplices).
-
-    `face_rows[i]` holds the face ranks of `included[i]` in the order of
-    faces().  Views cut from a complex take them from its face rows; when
-    omitted they are computed here.
-    """
-
-    n: int
-    d: int
-    included: tuple
-    weights: tuple
-    lower_faces: Optional[frozenset] = None
-    face_rows: Optional[np.ndarray] = field(default=None, compare=False,
-                                            repr=False)
-
-    def __post_init__(self):
-        if self.face_rows is None:
-            object.__setattr__(self, "face_rows", face_rank_array(
-                unrank_colex_array(self.included, self.d, self.n), self.n))
-        if self.lower_faces is not None and not set(
-                self.face_rows.ravel().tolist()).issubset(self.lower_faces):
-            raise ValueError("lower_faces must contain every face of "
-                             "every included d-simplex")
-
-    def face_count(self) -> int:
-        """f_{d-1} of the viewed subcomplex."""
-        if self.lower_faces is not None:
-            return len(self.lower_faces)
-        return math.comb(self.n, self.d)
-
-    def as_complex(self) -> WeightedComplex:
-        """The view as a weighted d-complex with the full implicit skeleton."""
-        order = np.argsort(np.asarray(self.included, dtype=np.int64))
-        ranks = np.asarray(self.included, dtype=np.int64)[order]
-        w = np.asarray(self.weights, dtype=np.float64)[order]
-        return _indexed(self.n, self.d, ranks, w, self.face_rows[order])
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ import numpy as np
 
 from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
-from .simplices import (SubComplexView, WeightedComplex, cofacet_minima,
+from .simplices import (WeightedComplex, _sub, cofacet_minima,
                         cofacet_ranks, faces, unrank_colex,
                         unrank_colex_array)
-from .topology import _center_faces, _m_ball, _view, _walk, component_labels
+from .topology import _center_faces, _m_ball, _walk, component_labels
 
 
 def _site(X: WeightedComplex, tau_rank: int) -> Tuple[int, list, list]:
@@ -81,7 +81,7 @@ def nn_near(X: WeightedComplex, tau_rank: int,
 def f_alpha_faces(X: WeightedComplex, alpha: float) -> np.ndarray:
     """Per-face value: min over present cofacets of (w ^ alpha), or alpha
     for faces of degree zero."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     acc = np.full(math.comb(X.n, X.d), float(alpha))
     np.minimum.at(acc, X.face_rows.ravel(),
@@ -140,16 +140,19 @@ class LocalComplex:
         return len(self.lower) - rank_pm1(rows)
 
 
-def _localize(view: SubComplexView) -> LocalComplex:
-    tops = unrank_colex_array(view.included, view.d, view.n)
-    lows = unrank_colex_array(sorted(view.lower_faces), view.d - 1, view.n)
+def _localize(X: WeightedComplex, pos: np.ndarray,
+              lower: np.ndarray) -> LocalComplex:
+    """The subcomplex of X with the d-simplices at positions `pos` and the
+    (d-1)-simplices of ranks `lower`, relabeled."""
+    tops = unrank_colex_array(X.present[pos], X.d, X.n)
+    lows = unrank_colex_array(lower, X.d - 1, X.n)
     used = np.union1d(tops, lows)
 
     def relabel(verts: np.ndarray) -> list:
         # the relabeling is increasing, so rows stay increasing tuples
         return list(map(tuple, np.searchsorted(used, verts).tolist()))
-    top = sorted(zip(relabel(tops), view.weights))
-    return LocalComplex(view.d, tuple(sorted(relabel(lows))),
+    top = sorted(zip(relabel(tops), X.weights[pos].tolist()))
+    return LocalComplex(X.d, tuple(sorted(relabel(lows))),
                         tuple(t for t, _ in top), tuple(w for _, w in top))
 
 
@@ -190,8 +193,7 @@ def local_statistic_terms(X: WeightedComplex,
     """
     terms = []
     for fr in X.face_index.faces.tolist():
-        ball = _m_ball(X, [fr], lf.M)
-        terms.append(float(lf.g(_localize(ball))))
+        terms.append(float(lf.g(_localize(X, *_m_ball(X, [fr], lf.M)))))
     single = LocalComplex(X.d, (tuple(range(X.d)),), (), ())
     return terms + [float(lf.g(single))] * isolated_count(X)
 
@@ -210,7 +212,7 @@ def local_statistic_near(X: WeightedComplex, tau_rank: int,
     two states, since tau shortens no path from its own faces."""
     pos, ranks, _ = _site(X, tau_rank)
     reach = _walk(X, ranks, 2 * lf.M - 2)[1]
-    Z = _view(X, reach[reach != pos], None).as_complex()
+    Z = _sub(X, reach[reach != pos])
     return local_statistic_terms(Z if w is None else
                                  Z.with_simplex(tau_rank, w), lf)
 
@@ -368,8 +370,8 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
                          sample_fn=nn_total if params.p == 1.0 else None)
     if head == "nn-alpha" and len(parts) == 2:
         alpha = float(parts[1])
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be finite and positive")
         return Statistic(spec, lambda X: f_alpha(X, alpha), (d + 1) * alpha,
                          near=lambda X, t, w: f_alpha_near(X, t, w, alpha))
     if head == "isolated" and len(parts) == 1:

@@ -16,9 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .sampling import ModelParams
-from .simplices import (Simplex, SubComplexView, WeightedComplex,
-                        face_rank_array, faces, rank_colex,
-                        unrank_colex_array)
+from .simplices import (Simplex, WeightedComplex, _sub, face_rank_array,
+                        faces, rank_colex, unrank_colex_array)
 
 
 def _walk(X: WeightedComplex, sources: List[int],
@@ -54,15 +53,6 @@ def bfs_distances(X: WeightedComplex, source_rank: int,
                  else max_dist)[0] or {source_rank: 0}
 
 
-def _view(X: WeightedComplex, pos: np.ndarray,
-          lower_faces: Optional[frozenset]) -> SubComplexView:
-    """The present d-simplices at positions `pos` (ascending) of X as a
-    view, with their weights and face rows taken from X."""
-    return SubComplexView(X.n, X.d, tuple(X.present[pos].tolist()),
-                          tuple(X.weights[pos].tolist()), lower_faces,
-                          face_rows=X.face_rows[pos])
-
-
 def _center_faces(X: WeightedComplex, center: Sequence[int]) -> List[int]:
     """Ranks of a center's (d-1)-simplices: itself, or its d+1 faces."""
     c = tuple(center)
@@ -80,8 +70,9 @@ def connected_within(X: WeightedComplex, sigma: Sequence[int],
         bfs_distances(X, rank_colex(tuple(sigma)), max_dist=k)
 
 
-def ball_k(X: WeightedComplex, center: Sequence[int], k: int) -> SubComplexView:
-    """B_k(center, X) over the full ambient skeleton.
+def ball_k(X: WeightedComplex, center: Sequence[int],
+           k: int) -> WeightedComplex:
+    """B_k(center, X) over the full ambient skeleton, sliced from X.
 
     The center may be a (d-1)-simplex or a d-simplex (union over its faces).
     A present d-simplex tau' belongs to the ball iff some face of tau' is at
@@ -89,26 +80,30 @@ def ball_k(X: WeightedComplex, center: Sequence[int], k: int) -> SubComplexView:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _view(X, _walk(X, _center_faces(X, center), k - 1)[1], None)
+    return _sub(X, _walk(X, _center_faces(X, center), k - 1)[1])
 
 
-def m_ball(X: WeightedComplex, center: Sequence[int], M: int) -> SubComplexView:
+def m_ball(X: WeightedComplex, center: Sequence[int],
+           M: int) -> Tuple[WeightedComplex, np.ndarray]:
     """(X, center)_M: generated by the center and its reachable d-simplices.
 
     Unlike ball_k this does not carry the ambient skeleton: its (d-1)-
-    simplices are the center face(s) plus the faces of included d-simplices.
+    simplices are the center face(s) plus the faces of included d-simplices,
+    returned as ascending ranks next to the d-simplices sliced from X.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    return _m_ball(X, _center_faces(X, center), M)
+    pos, lower = _m_ball(X, _center_faces(X, center), M)
+    return _sub(X, pos), lower
 
 
 def _m_ball(X: WeightedComplex, sources: List[int],
-            M: int) -> SubComplexView:
-    """m_ball from the ranks of the center's (d-1)-simplices."""
+            M: int) -> Tuple[np.ndarray, np.ndarray]:
+    """m_ball from the ranks of the center's (d-1)-simplices: the ascending
+    positions in X.present of its d-simplices and its face ranks, ascending."""
     reached = _walk(X, sources, M - 1)[1]
-    return _view(X, reached, frozenset(
-        X.face_rows[reached].ravel().tolist()).union(sources))
+    lower = set(X.face_rows[reached].ravel().tolist()).union(sources)
+    return reached, np.array(sorted(lower), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,12 @@ def components(X: WeightedComplex) -> ComponentLabeling:
 
 
 def component_view(X: WeightedComplex, labeling: ComponentLabeling,
-                   cid: int) -> SubComplexView:
-    """One strongly connected component as an explicit-face subcomplex."""
-    return _view(X, np.searchsorted(X.present, labeling.comp_simplices[cid]),
-                 frozenset(labeling.comp_faces[cid]))
+                   cid: int) -> Tuple[WeightedComplex, np.ndarray]:
+    """One strongly connected component: its d-simplices sliced from X and
+    its face ranks, ascending."""
+    pos = np.searchsorted(X.present, labeling.comp_simplices[cid])
+    return (_sub(X, np.sort(pos)),
+            np.sort(np.array(labeling.comp_faces[cid], dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from rwcomplex import bounds, rng
 from rwcomplex.cli import main as cli_main
-from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.harness import (ExperimentConfig, run_clt, run_cov_nn,
                                run_nn_face_moments, run_variance_check)
 from rwcomplex.perturbation import (add_one_cost, canonical_tau_pair,
@@ -26,13 +25,13 @@ from rwcomplex.perturbation import (add_one_cost, canonical_tau_pair,
 from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, exp_mean_n,
                                 sample_complex)
-from rwcomplex.simplices import (SubComplexView, WeightedComplex, rank_colex,
-                                 unrank_colex)
-from rwcomplex.statistics import (isolated_count, make_statistic,
-                                  nn_all_faces)
+from rwcomplex.simplices import WeightedComplex, rank_colex, unrank_colex
+from rwcomplex.statistics import (cocycle_count_bounded, isolated_count,
+                                  make_statistic, nn_all_faces)
 from rwcomplex.topology import (canonical_disjoint_pair, components,
                                 component_view, gamma_exact)
 
+from test_cohomology import exact_cocycle_dim, local_cocycle_dim
 from test_perturbation import ref_add_one_cost
 
 mpmath.mp.dps = 40
@@ -204,8 +203,8 @@ def test_ac07_cocycle_dimension():
                             np.ones(len(ranks)))
         lab = components(X)
         for cid in range(len(lab.comp_faces)):
-            view = component_view(X, lab, cid)
-            assert cocycle_dim(view) == cocycle_dim(view, exact=True)
+            C, lower = component_view(X, lab, cid)
+            assert local_cocycle_dim(C, lower) == exact_cocycle_dim(C, lower)
             checked += 1
     # d = 1: full-skeleton cocycle dimension counts graph components
     graph_ok = True
@@ -226,9 +225,10 @@ def test_ac07_cocycle_dimension():
             parent[find(a)] = find(b)
         ncomp = len({find(v) for v in range(n)})
         ranks = sorted(rank_colex(e) for e in edges)
-        view = SubComplexView(n, 1, tuple(ranks), (1.0,) * len(ranks),
-                              lower_faces=None)
-        graph_ok &= cocycle_dim(view) == ncomp
+        X = WeightedComplex(n, 1, np.array(ranks, dtype=np.int64),
+                            np.ones(len(ranks)))
+        graph_ok &= exact_cocycle_dim(X) == ncomp == \
+            cocycle_count_bounded(X, n)
     # additivity over components plus singleton faces
     add_ok = True
     for seed in range(30):
@@ -237,12 +237,11 @@ def test_ac07_cocycle_dimension():
         ranks = sorted(random.Random(seed).sample(range(N), min(N, 6)))
         X = WeightedComplex(n, d, np.array(ranks, dtype=np.int64),
                             np.ones(len(ranks)))
-        whole = SubComplexView(n, d, tuple(int(r) for r in X.present),
-                               tuple(X.weights), lower_faces=None)
         lab = components(X)
-        parts = sum(cocycle_dim(component_view(X, lab, cid))
+        parts = sum(local_cocycle_dim(*component_view(X, lab, cid))
                     for cid in range(len(lab.comp_faces)))
-        add_ok &= cocycle_dim(whole) == parts + lab.num_singletons
+        add_ok &= exact_cocycle_dim(X) == parts + lab.num_singletons == \
+            cocycle_count_bounded(X, math.comb(n, d))
     # add-one cost of the bounded cocycle count is never positive, and is
     # exactly -1 when every face of the new simplex is uncovered
     params = _const_params(7, 2, 7 * 0.3)

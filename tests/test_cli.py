@@ -171,6 +171,26 @@ def test_non_finite_inputs_fail_with_one_error_line(tmp_path, capsys):
            "--lambda", "nan", "--k", "2"], 2)
 
 
+def test_non_finite_alpha_fails_with_one_error_line(tmp_path, capsys):
+    path = str(tmp_path / "c.txt")
+    assert main(["generate", "--n", "8", "--d", "2", "--lambda", "1",
+                 "--seed", "1", "--out", path]) == 0
+    capsys.readouterr()
+    run = ["--n", "8", "--d", "2", "--lambda", "1", "--replicas", "4",
+           "--seed", "1", "--out", str(tmp_path / "out")]
+    for alpha in ("nan", "inf", "-inf"):
+        spec = "nn-alpha:" + alpha
+        for argv in (["stat", "--in", path, "--stat", spec],
+                     ["clt", "--stat", spec] + run,
+                     ["stabilization", "--stat", spec, "--k", "1"] + run):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.strip().splitlines() == \
+                ["error: alpha must be finite and positive"], argv
+            assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_config_defaults_and_rejects():
     text = json.dumps({"n": 20, "d": 1, "lambda": 2.0, "stat": "nn",
                        "replicas": 10, "seed": 1})

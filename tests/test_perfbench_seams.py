@@ -54,6 +54,20 @@ def test_simplex_table_keeps_the_fields_the_tracer_reads():
                                    + tbl.cofacet_ranks.nbytes]
 
 
+def test_rank_hook_counts_a_coboundary_matrix():
+    # the rank hook reads rank_pm1's first argument, by position or by the
+    # name `matrix`, as the coboundary rows the statistics build
+    import inspect
+    from rwcomplex.cohomology import coboundary_rows, rank_pm1
+    assert next(iter(inspect.signature(rank_pm1).parameters)) == "matrix"
+    m = coboundary_rows([[0, 1, 3], [0, 2, 4]], range(5))
+    for args, kwargs in (((m,), {}), ((), {"matrix": m})):
+        fake = {}
+        tracing._count_rank(fake, 0, args, kwargs, rank_pm1(m))
+        assert fake == {(0, "cohomology.rank_calls"): 1,
+                        (0, "cohomology.matrix_entries"): 10}
+
+
 def _load_workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", TRACING.parent / "workloads.py")

@@ -79,8 +79,8 @@ def ref_add_one_cost(f, X, tau_rank, w):
 def ref_local_add_one_cost(f, X, tau_rank, w, k):
     verts = unrank_colex(tau_rank, X.d, X.n)
     return full_difference(
-        f, ball_k(X.with_simplex(tau_rank, w), verts, k).as_complex(),
-        ball_k(X.without_simplex(tau_rank), verts, k).as_complex())
+        f, ball_k(X.with_simplex(tau_rank, w), verts, k),
+        ball_k(X.without_simplex(tau_rank), verts, k))
 
 
 def ref_randomized_derivative(f, s, F, tau_rank):
@@ -92,8 +92,8 @@ def ref_randomized_derivative(f, s, F, tau_rank):
 def ref_local_randomized_derivative(f, s, F, tau_rank, k):
     verts = unrank_colex(tau_rank, s.params.d, s.params.n)
     return full_difference(
-        f, ball_k(s.resampled(F), verts, k).as_complex(),
-        ball_k(s.resampled(F + [tau_rank]), verts, k).as_complex())
+        f, ball_k(s.resampled(F), verts, k),
+        ball_k(s.resampled(F + [tau_rank]), verts, k))
 
 
 def _params(n=8, d=2, p=0.25, mean=2.0):
@@ -191,7 +191,9 @@ def test_lipschitz_envelopes():
                        "local:isolated:1", "local:cocycle-ratio:2")]
     for seed in range(200):
         s = PairedSample(params, seed)
-        b, w, bp, wp = s.quadruple(np.array([r]))
+        at = np.array([r])
+        b, bp = s.presence(at), s.presence(at, primed=True)
+        w = s.weight_values(at)
         X = s.complex()
         for f in stats:
             H = f.lipschitz_H

@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.sampling import ModelParams, PairedSample, WeightDistribution
 from rwcomplex.simplices import (WeightedComplex, _cofacet_plan,
                                  cofacet_minima, degree, face_rank_array,
                                  faces, rank_colex, simplex_table,
                                  unrank_colex, unrank_colex_array)
-from rwcomplex.statistics import (cocycle_count_bounded, f_alpha_faces,
-                                  isolated_count, make_statistic, nn_terms)
+from rwcomplex.statistics import (LocalComplex, LocalFunctional,
+                                  cocycle_count_bounded, f_alpha_faces,
+                                  isolated_count, local_statistic_terms,
+                                  make_statistic, nn_terms)
 from rwcomplex.topology import (ball_k, bfs_distances, component_view,
                                 components, m_ball)
 
+from test_cohomology import exact_cocycle_dim
 from test_topology import (bfs_components, dict_ball, dict_bfs,
                            distinct_path_distance, face_adjacency)
 
@@ -103,10 +105,14 @@ def test_balls_and_degrees_match_the_dict_reference(d, data):
         centers = (unrank_colex(tau, d, n), unrank_colex(sigma, d - 1, n))
         for center in centers:
             for k in range(4):
-                check_view(Y, ball_k(Y, center, k),
-                           dict_ball(Y, center, k)[0], None)
+                check_slice(Y, ball_k(Y, center, k),
+                            dict_ball(Y, center, k)[0])
             for M in range(1, 4):
-                check_view(Y, m_ball(Y, center, M), *dict_ball(Y, center, M))
+                B, lower = m_ball(Y, center, M)
+                included, want = dict_ball(Y, center, M)
+                check_slice(Y, B, included)
+                assert lower.dtype == np.int64
+                assert lower.tolist() == sorted(want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -122,19 +128,22 @@ def test_ball_of_x_plus_tau_is_ball_of_x_minus_tau_plus_tau(d, data):
         plus = ball_k(X.with_simplex(tau, 0.5), center, k)
         minus = ball_k(X.without_simplex(tau), center, k)
         of_x = ball_k(X, center, k)
-        assert dict(zip(plus.included, plus.weights)) == \
-            {**dict(zip(minus.included, minus.weights)),
+        assert dict(zip(plus.present.tolist(), plus.weights.tolist())) == \
+            {**dict(zip(minus.present.tolist(), minus.weights.tolist())),
              **({tau: 0.5} if k else {})}
-        assert set(of_x.included) - {tau} == set(minus.included)
+        assert set(of_x.present.tolist()) - {tau} == \
+            set(minus.present.tolist())
         if k == 0:
-            assert plus.included == minus.included == ()
+            assert plus.num_present == minus.num_present == 0
 
 
-def check_view(X, view, included, lower):
-    assert view.included == tuple(included)
-    assert view.weights == tuple(X.weight_of(r) for r in included)
-    assert view.lower_faces == (None if lower is None else frozenset(lower))
-    assert view.face_rows.tolist() == \
+def check_slice(X, B, included):
+    """B holds the present simplices `included` of X, with X's weights
+    and their face rows, over X's vertex set."""
+    assert (B.n, B.d) == (X.n, X.d)
+    assert B.present.tolist() == list(included)
+    assert B.weights.tolist() == [X.weight_of(r) for r in included]
+    assert B.face_rows.tolist() == \
         [[rank_colex(f) for f in faces(unrank_colex(r, X.d, X.n))]
          for r in included]
 
@@ -188,13 +197,49 @@ def check_cocycle_count(X, M):
     lab = bfs_components(X)
     want = lab.num_singletons
     for cid, comp in enumerate(lab.comp_faces):
-        view = component_view(X, lab, cid)
-        assert view.face_rows.tolist() == \
-            [[rank_colex(f) for f in faces(unrank_colex(r, X.d, X.n))]
-             for r in view.included]
+        C, lower = component_view(X, lab, cid)
+        check_slice(X, C, sorted(lab.comp_simplices[cid]))
+        assert lower.tolist() == sorted(comp)
         if len(comp) <= M:
-            want += cocycle_dim(view, exact=True)
+            want += exact_cocycle_dim(C, lower)
     assert cocycle_count_bounded(X, M) == want
+
+
+def ref_localize(X, included, lower):
+    """The subcomplex of X with the d-simplices of ranks `included` and the
+    (d-1)-simplices of ranks `lower`, relabeled in pure Python: vertices
+    renumbered 0, 1, ... in increasing order, the lower faces sorted, the
+    d-simplices sorted together with their weights."""
+    tops = [unrank_colex(r, X.d, X.n) for r in included]
+    lows = [unrank_colex(r, X.d - 1, X.n) for r in lower]
+    used = sorted({v for s in tops + lows for v in s})
+    new = dict(zip(used, range(len(used))))
+
+    def relabel(s):
+        return tuple(new[v] for v in s)
+    top = sorted((relabel(t), X.weight_of(r)) for t, r in zip(tops, included))
+    return LocalComplex(X.d, tuple(sorted(map(relabel, lows))),
+                        tuple(t for t, _ in top), tuple(w for _, w in top))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@SETTINGS
+@given(st.data())
+def test_local_terms_hand_g_the_reference_m_balls(d, data):
+    # g sees, at every covered face in rank order, the relabeled M-ball of
+    # the dict reference, and then the singleton complex once
+    X = data.draw(complexes(min_d=d, max_d=d))
+    covered = X.face_index.faces.tolist()
+    for M in (1, 2, 3):
+        seen = []
+
+        def g(local):
+            seen.append(local)
+            return 0.0
+        local_statistic_terms(X, LocalFunctional("record", g, M))
+        assert seen == [ref_localize(X, *dict_ball(
+            X, unrank_colex(s, d - 1, X.n), M)) for s in covered] + \
+            [LocalComplex(d, (tuple(range(d)),), (), ())]
 
 
 @SETTINGS

@@ -115,8 +115,13 @@ def test_purity_and_determinism():
     params = _params()
     s = PairedSample(params, 7)
     ranks = np.array([0, 5, 17, 5, 0])
-    b1, w1, bp1, wp1 = s.quadruple(ranks)
-    b2, w2, bp2, wp2 = PairedSample(params, 7).quadruple(ranks)
+    b1, w1, bp1, wp1 = (s.presence(ranks), s.weight_values(ranks),
+                        s.presence(ranks, primed=True),
+                        s.weight_values(ranks, primed=True))
+    s2 = PairedSample(params, 7)
+    b2, w2, bp2, wp2 = (s2.presence(ranks), s2.weight_values(ranks),
+                        s2.presence(ranks, primed=True),
+                        s2.weight_values(ranks, primed=True))
     assert np.array_equal(b1, b2) and np.array_equal(w1, w2)
     assert np.array_equal(bp1, bp2) and np.array_equal(wp1, wp2)
     # repeated ranks give identical draws: value is a pure function of rank

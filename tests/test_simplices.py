@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwcomplex.simplices import (MAX_D_SIMPLICES, SubComplexView,
-                                 WeightedComplex, check_simplex,
+from rwcomplex.simplices import (MAX_D_SIMPLICES, WeightedComplex,
+                                 check_simplex,
                                  cofacet_ranks, cofacets, d_simplex_count,
                                  degree, faces, rank_colex, read_complex,
                                  simplex_table, unrank_colex,
@@ -290,14 +290,3 @@ def test_size_guard_names_the_count_and_the_limit():
     with pytest.raises(ValueError, match="C\\(%d, 3\\) = %d .* limit of %d"
                        % (n, math.comb(n, 3), MAX_D_SIMPLICES)):
         simplex_table(n, 2)
-
-
-def test_subcomplex_view_face_validation():
-    r = rank_colex((0, 1, 2))
-    with pytest.raises(ValueError):
-        SubComplexView(5, 2, (r,), (1.0,), lower_faces=frozenset())
-    view = SubComplexView(5, 2, (r,), (1.0,),
-                          lower_faces=frozenset(rank_colex(f)
-                                                for f in faces((0, 1, 2))))
-    assert view.face_count() == 3
-    assert view.as_complex().num_present == 1

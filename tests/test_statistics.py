@@ -4,20 +4,21 @@ import random
 import numpy as np
 import pytest
 
-from rwcomplex.cohomology import cocycle_dim
 from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
                                 exp_mean_n, sample_complex)
 from rwcomplex.simplices import (WeightedComplex, cofacets, rank_colex,
                                  unrank_colex)
 from rwcomplex.statistics import (LocalComplex, betti_bounded,
                                   cocycle_count_bounded, f_alpha,
-                                  isolated_count, local_statistic,
+                                  f_alpha_faces, isolated_count,
+                                  local_statistic,
                                   LocalFunctional, g_no_top_simplex,
                                   make_cocycle_ratio, make_statistic,
                                   nn_face, nn_terms, nn_total,
                                   nn_total_complex)
 from rwcomplex.topology import component_view
 
+from test_cohomology import exact_cocycle_dim
 from test_topology import bfs_components
 
 
@@ -87,6 +88,22 @@ def test_f_alpha_cap():
     X = random_complex(6, 1, 5, seed=4)
     Y = WeightedComplex(6, 1, X.present, X.weights + 100.0)
     assert f_alpha(Y, 0.5) == pytest.approx(0.5 * math.comb(6, 1))
+
+
+def test_alpha_bounds():
+    # the grammar takes a finite positive alpha; the per-face values also
+    # take alpha = inf, the uncapped minimum that nn_terms reads
+    params = ModelParams(6, 1, 0.5, WeightDistribution("constant", 1.0))
+    for bad in ("nan", "inf", "-inf", "0", "-1"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make_statistic("nn-alpha:" + bad, params)
+    X = random_complex(6, 1, 5, seed=4)
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            f_alpha(X, bad)
+    edge = WeightedComplex(6, 1, np.array([0]), np.array([2.0]))
+    assert f_alpha_faces(edge, math.inf).tolist() == \
+        [2.0, 2.0] + [math.inf] * 4
 
 
 def test_isolated_count_brute_force():
@@ -162,9 +179,11 @@ def test_local_statistic_terms_walk_face_ranks_without_unranking(
     lf = LocalFunctional("cocycle-ratio", make_cocycle_ratio(3), M=2)
     X = random_complex(9, 2, 14, seed=3)
     single = LocalComplex(2, ((0, 1),), (), ())
-    want = [float(lf.g(statistics._localize(
-        m_ball(X, unrank_colex(fr, 1, 9), lf.M))))
-        for fr in X.face_index.faces.tolist()] + \
+    balls = [m_ball(X, unrank_colex(fr, 1, 9), lf.M)
+             for fr in X.face_index.faces.tolist()]
+    want = [float(lf.g(statistics._localize(B, np.arange(B.num_present),
+                                            lower)))
+            for B, lower in balls] + \
         [float(lf.g(single))] * isolated_count(X)
     calls = []
 
@@ -197,7 +216,7 @@ def test_cocycle_count_without_cores_needs_no_rank_or_adjacency(monkeypatch):
     ref = sample_complex(params, 1)
     lab = bfs_components(ref)
     want = lab.num_singletons + sum(
-        cocycle_dim(component_view(ref, lab, cid), exact=True)
+        exact_cocycle_dim(*component_view(ref, lab, cid))
         for cid, comp in enumerate(lab.comp_faces) if len(comp) <= 30)
 
     def refuse(*args, **kwargs):

@@ -202,18 +202,22 @@ def test_derived_complexes_reuse_the_face_index(monkeypatch):
         return unrank(ranks, k, n)
     monkeypatch.setattr(simplices, "unrank_colex_array", counted)
     absent = next(r for r in range(35) if not X.has(r))
+    tau = unrank_colex(int(X.present[0]), 2, 7)
+    lab = components(X)
     derived = [X.with_simplex(absent, 0.5),
                X.with_simplex(int(X.present[3]), 0.5),
                X.without_simplex(int(X.present[3])),
-               ball_k(X, unrank_colex(int(X.present[0]), 2, 7), 1)
-               .as_complex(), empty.with_simplex(absent, 1.0)]
+               ball_k(X, tau, 1), m_ball(X, tau, 2)[0],
+               m_ball(X, tau[1:], 1)[0], empty.with_simplex(absent, 1.0)] + \
+        [component_view(X, lab, cid)[0] for cid in range(len(lab.comp_faces))]
     rows = [Y.face_rows for Y in derived]
     assert calls == [1, 1]    # tau's one row, for each X + tau
     monkeypatch.undo()
     for Y, got in zip(derived, rows):
         fresh = WeightedComplex(Y.n, Y.d, Y.present, Y.weights)
         assert got.tolist() == fresh.face_rows.tolist()
-        assert not got.flags.writeable
+        for a in (got, Y.present, Y.weights):
+            assert not a.flags.writeable
 
 
 def test_connected_within_basics():
@@ -235,7 +239,7 @@ def test_ball_k_definition():
         srcs = [rank_colex(f) for f in faces(center)]
         for k in range(0, 4):
             ball = ball_k(X, center, k)
-            included = set(ball.included)
+            included = set(ball.present.tolist())
             for r in X.present:
                 tau = unrank_colex(int(r), 2, 6)
                 reach = min((d for s in srcs
@@ -244,23 +248,24 @@ def test_ball_k_definition():
                             default=None)
                 expect = reach is not None and reach <= k - 1
                 assert (int(r) in included) == expect
-            assert ball.lower_faces is None  # carries the ambient skeleton
+            # a complex over X's vertices carries the ambient skeleton
+            assert (ball.n, ball.d) == (X.n, X.d)
 
 
 def test_ball_zero_is_empty():
     X = random_complex(6, 2, 6, seed=3)
-    assert ball_k(X, (0, 1, 2), 0).included == ()
+    assert ball_k(X, (0, 1, 2), 0).num_present == 0
 
 
 def test_m_ball_excludes_ambient_faces():
     X = random_complex(6, 2, 5, seed=9)
-    ball = m_ball(X, (0, 1), 2)
+    ball, lower = m_ball(X, (0, 1), 2)
     # the lower faces are exactly the center plus faces of included simplices
     expect = {rank_colex((0, 1))}
-    for r in ball.included:
-        tau = unrank_colex(int(r), 2, 6)
+    for r in ball.present.tolist():
+        tau = unrank_colex(r, 2, 6)
         expect.update(rank_colex(f) for f in faces(tau))
-    assert set(ball.lower_faces) == expect
+    assert lower.tolist() == sorted(expect)
 
 
 def test_components_partition():
@@ -278,10 +283,12 @@ def test_components_partition():
                                       unrank_colex(b, 1, 7), 10 ** 6)
             assert same == linked
         assert lab.num_components == len(lab.comp_faces) + lab.num_singletons
-        # component views are consistent subcomplexes
+        # component slices are consistent subcomplexes
         for cid in range(len(lab.comp_faces)):
-            view = component_view(X, lab, cid)
-            assert view.face_count() == len(lab.comp_faces[cid])
+            C, lower = component_view(X, lab, cid)
+            assert C.present.tolist() == sorted(lab.comp_simplices[cid])
+            assert lower.tolist() == sorted(lab.comp_faces[cid])
+            assert set(C.face_rows.ravel().tolist()) == set(lower.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from .perturbation import (estimate_addone_mean, estimate_delta_tilde,
                            estimate_gamma, estimate_rho_probe,
                            estimate_variance_and_J, moments, variance_se)
 from .sampling import ModelParams, PairedSample, exp_mean_n
-from .statistics import make_statistic, nn_face
+from .simplices import cofacet_ranks
+from .statistics import make_statistic
 
 KOLMOGOROV_95 = 1.36
 
@@ -242,11 +243,11 @@ def run_nn_face_moments(n: int, d: int, replicas: int,
     """Empirical mean/variance of the nearest face-weight at one fixed
     (d-1)-simplex, against the exact per-face law."""
     params = exp_mean_n(n, d)
-    sigma = tuple(range(d))
+    ranks = cofacet_ranks(tuple(range(d)), n)
     values = np.empty(replicas)
     for i in range(replicas):
-        values[i] = nn_face(PairedSample(params, rng.child_seed(seed, i)),
-                            sigma)
+        values[i] = PairedSample(params, rng.child_seed(seed, i)) \
+            .weight_values(ranks).min()
     mean, var, _ = moments(values)
     return {"mean": mean, "variance": var,
             "mean_exact": bounds.nn_mean_face(n, d),
@@ -306,12 +307,11 @@ def run_cov_nn(n: int, d: int, replicas: int, inner: int,
     if inner < 1:
         raise ValueError("inner must be >= 1")
     m1 = n - d - 1
-    theta = float(n)
+    dist = exp_mean_n(n, d).dist
     vals = np.empty(replicas)
     for r in range(replicas):
         key = rng.stream_key(rng.child_seed(seed, r), 0)
-        u = rng.uniform_range(key, 2 * m1 + 3 * inner)
-        w_all = -theta * np.log(1.0 - u)
+        w_all = dist.inverse_cdf(rng.uniform_range(key, 2 * m1 + 3 * inner))
         x = w_all[:m1].min()
         y = w_all[m1:2 * m1].min()
         w = w_all[2 * m1:2 * m1 + inner]

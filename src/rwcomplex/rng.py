@@ -4,7 +4,7 @@ Every draw is a pure function of (seed, stream tag, counter), so arbitrary
 slices of a stream can be materialized in any order, on any worker, and
 still agree bit for bit.  The generator is the SplitMix64 sequence: output
 at counter r is the SplitMix64 finalizer applied to key + (r+1)*GOLDEN;
-`ranks_below` and `uniform_range` draw the counters 0..count-1 in blocks.
+`ranks_below`, `bits_range` and `uniform_range` draw 0..count-1 in blocks.
 """
 from __future__ import annotations
 
@@ -72,16 +72,21 @@ def uniforms(key: int, counters) -> np.ndarray:
     z = np.asarray(counters).astype(np.uint64)
     np.add(np.multiply(z, np.uint64(_GOLDEN), out=z),     # key + (r+1)*GOLDEN
            np.uint64((key + _GOLDEN) & _MASK), out=z)
-    return (_mix(z, np.empty_like(z)) >> np.uint64(11)) * _INV_2_53
+    return to_uniform(_mix(z, np.empty_like(z)))
 
 
-def _blocks(key: int, count: int):
-    """(lo, outputs at counters lo, lo+1, ...) per block, overwritten next."""
+def to_uniform(z: np.ndarray) -> np.ndarray:
+    """The uniforms (z >> 11) * 2^-53 of outputs z, exact and monotone."""
+    return (z >> np.uint64(11)) * _INV_2_53
+
+
+def _blocks(key: int, count: int, out=None):
+    """(lo, outputs at lo, lo+1, ...) per block: in out, else in one buffer."""
     z, t = np.empty((2, min(count, BLOCK)), dtype=np.uint64)
     for lo in range(0, count, BLOCK):
+        zb = z[:count - lo] if out is None else out[lo:lo + BLOCK]
         base = np.uint64((key + _GOLDEN * (lo + 1)) & _MASK)
-        yield lo, _mix(np.add(_STEPS[:count - lo], base, out=z[:count - lo]),
-                       t[:count - lo])
+        yield lo, _mix(np.add(_STEPS[:zb.size], base, out=zb), t[:zb.size])
 
 
 def ranks_below(key: int, count: int, p: float) -> np.ndarray:
@@ -92,6 +97,14 @@ def ranks_below(key: int, count: int, p: float) -> np.ndarray:
     limit = np.uint64(int(np.ceil(p * 2.0 ** 53)) << 11)
     return np.concatenate([np.empty(0, dtype=np.int64)] + [
         lo + np.flatnonzero(z < limit) for lo, z in _blocks(key, count)])
+
+
+def bits_range(key: int, count: int) -> np.ndarray:
+    """The raw uint64 outputs at counters 0..count-1, mixed in place."""
+    out = np.empty(count, dtype=np.uint64)
+    for _ in _blocks(key, count, out):
+        pass
+    return out
 
 
 def uniform_range(key: int, count: int) -> np.ndarray:

@@ -64,18 +64,6 @@ class WeightDistribution:
             np.multiply(-self.param, u, out=u)
         return u
 
-    def cdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.kind == "exponential":
-            c = 1.0 - np.exp(-np.maximum(x, 0.0) / self.param)
-            if self.cap is not None:
-                c = np.minimum(c / (1.0 - math.exp(-self.cap / self.param)),
-                               1.0)
-            return np.where(x < 0, 0.0, c)
-        if self.kind == "uniform":
-            return np.clip(x / self.param, 0.0, 1.0) * (x > 0)
-        return (x >= self.param).astype(float)
-
     def to_json(self) -> dict:
         out = {"kind": self.kind, "param": self.param}
         if self.cap is not None:
@@ -173,6 +161,11 @@ class PairedSample:
         tag = rng.TAG_WP if primed else rng.TAG_W
         u = rng.uniforms(self._key(tag), ranks)
         return self.params.dist.inverse_cdf(u)
+
+    def weight_bits(self) -> np.ndarray:
+        """The raw uint64 outputs of the w stream at every rank, in order."""
+        return rng.bits_range(self._key(rng.TAG_W), d_simplex_count(
+            self.params.n, self.params.d))
 
     def all_weights(self) -> np.ndarray:
         """Weights w at every rank 0..C(n, d+1)-1, in rank order, built

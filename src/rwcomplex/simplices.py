@@ -153,9 +153,11 @@ def _cofacet_plan(n: int, d: int) -> tuple:
 
 def cofacet_minima(w: np.ndarray, n: int, d: int) -> np.ndarray:
     """Minimum of w over the n-d cofacets of every (d-1)-simplex, in face
-    rank order; w holds one value per d-simplex rank over n vertices."""
+    rank order and w's dtype; w holds one float64 or uint64 value per
+    d-simplex rank over n vertices."""
     B = _binomials(n, d)
-    acc = np.full(math.comb(n, d), np.inf)
+    acc = np.full(math.comb(n, d), np.inf if w.dtype.kind == "f"
+                  else np.iinfo(w.dtype).max, dtype=w.dtype)
     # gap d, top vertex c: block c of w lines up with the faces [0, C(c, d))
     for m, lo in zip(B[d, d:n].tolist(), B[d + 1, d:n].tolist()):
         np.minimum(acc[:m], w[lo:lo + m], out=acc[:m])
@@ -367,8 +369,9 @@ def read_complex(path) -> WeightedComplex:
 class SimplexTable:
     """Colex-ordered enumeration of all d-simplices over n vertices, with
     per-simplex face ranks and per-face cofacet ranks.  Cached per (n, d).
-    No run path builds it (`nn` uses cofacet_minima); it stays for the
-    tests' references and the benchmark tracer, which hooks its name."""
+    No run path builds it (`nn` takes cofacet_minima of raw bits); it
+    stays for the tests' references and the benchmark tracer, which hooks
+    its name."""
 
     n: int
     d: int

@@ -13,11 +13,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import rng
 from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
-from .simplices import (WeightedComplex, _sub, cofacet_minima,
-                        cofacet_ranks, faces, unrank_colex,
-                        unrank_colex_array)
+from .simplices import (WeightedComplex, _sub, cofacet_minima, faces,
+                        unrank_colex, unrank_colex_array)
 from .topology import _center_faces, _m_ball, _walk, component_labels
 
 
@@ -34,18 +34,24 @@ def _site(X: WeightedComplex, tau_rank: int) -> Tuple[int, list, list]:
 # nearest face-weights (complete complex, p = 1)
 
 def nn_all_faces(s: PairedSample) -> np.ndarray:
-    """NN(sigma) for every (d-1)-simplex, vectorized over the weight stream."""
+    """NN(sigma) for every (d-1)-simplex: only the cofacet minima of the
+    raw weight bits z become weights.  This is bit for bit the minimum of
+    s.all_weights(), as min F(u) = F(min u) for u = (z >> 11) * 2^-53 and
+    each law's non-decreasing F (the uniform law b * (1 - u) decreases, so
+    it minimizes ~z).  In -theta * log(y) every step but log rounds
+    monotonically, and y = 1 - u * scale is on the 2^-53 grid, whose
+    neighbours differ in log by >= 1 / (2 y |log y|) >= e / 2 = 1.36 ulps
+    (least at y = 1/e): so a log erring by < 0.68 ulp keeps F monotone.
+    numpy's erred by <= 0.58 ulp on 20,000 grid points, glibc's is < 0.52.
+    """
     if s.params.p != 1.0:
         raise ValueError("nearest face-weights require p = 1")
-    return cofacet_minima(s.all_weights(), s.params.n, s.params.d)
+    flip = s.params.dist.kind == "uniform"
+    z = s.weight_bits()
+    m = cofacet_minima(np.invert(z, out=z) if flip else z, s.params.n,
+                       s.params.d)
+    return s.params.dist.inverse_cdf(rng.to_uniform(~m if flip else m))
 
-
-def nn_face(s: PairedSample, sigma) -> float:
-    """Minimum weight over the cofacets of one (d-1)-simplex."""
-    if s.params.p != 1.0:
-        raise ValueError("nearest face-weights require p = 1")
-    ranks = cofacet_ranks(tuple(sigma), s.params.n)
-    return float(s.weight_values(ranks).min())
 
 def nn_total(s: PairedSample) -> float:
     """Total nearest face-weight of the fully weighted complete complex."""

@@ -15,7 +15,7 @@ from rwcomplex.simplices import (WeightedComplex, _cofacet_plan,
 from rwcomplex.statistics import (LocalComplex, LocalFunctional,
                                   cocycle_count_bounded, f_alpha_faces,
                                   isolated_count, local_statistic_terms,
-                                  make_statistic, nn_terms)
+                                  make_statistic, nn_all_faces, nn_terms)
 from rwcomplex.topology import (ball_k, bfs_distances, component_view,
                                 components, m_ball)
 
@@ -262,20 +262,52 @@ def test_face_statistics_match_table_lookups(X, alpha):
 
 
 @SETTINGS
-@given(st.data(), st.integers(1, 4), st.booleans())
-def test_cofacet_minima_match_the_table_gather(data, d, ties):
-    # byte-identical to the gather over the table's cofacet ranks; integer
-    # weights from a small set make ties the common case
+@given(st.data(), st.integers(1, 4), st.booleans(), st.booleans())
+def test_cofacet_minima_match_the_table_gather(data, d, ties, raw):
+    # byte-identical to the gather over the table's cofacet ranks, for float
+    # weights and for raw uint64 stream outputs; values from a small set
+    # make ties the common case, and the uint64 ends 0 and 2^64 - 1 (the
+    # start of the running minimum) are among them
     n = data.draw(st.integers(d + 1, d + 9))
     nd = math.comb(n, d + 1)
-    values = st.integers(0, 3).map(float) if ties \
-        else st.floats(0.0, 1e6, allow_subnormal=True)
-    w = np.array(data.draw(st.lists(values, min_size=nd, max_size=nd)))
+    if raw:
+        top = 2 ** 64 - 1
+        values = st.sampled_from([0, 1, top - 1, top]) if ties \
+            else st.one_of(st.integers(0, top), st.sampled_from([0, top]))
+    else:
+        values = st.integers(0, 3).map(float) if ties \
+            else st.floats(0.0, 1e6, allow_subnormal=True)
+    w = np.array(data.draw(st.lists(values, min_size=nd, max_size=nd)),
+                 dtype=np.uint64 if raw else np.float64)
     want = w[simplex_table(n, d).cofacet_ranks].min(axis=1)
-    assert cofacet_minima(w, n, d).tobytes() == want.tobytes()
+    got = cofacet_minima(w, n, d)
+    assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
+    if raw:     # faces whose cofacets all hold 2^64 - 1 keep it
+        w[:] = top
+        assert set(cofacet_minima(w, n, d).tolist()) == {top}
     for arrays in _cofacet_plan(n, d):
         for a in arrays:
             assert a is None or not a.flags.writeable
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.integers(1, 4), st.data(), st.integers(0, 2 ** 63 - 1))
+def test_nn_all_faces_is_the_minimum_of_all_weights(d, data, seed):
+    # the inverse CDF after the raw-bit minimum is bit-identical to the
+    # minimum of the weights; few cofacets (n close to d) make large face
+    # minima common, where a cap bends the exponential law most
+    n = data.draw(st.integers(d + 1, d + 9))
+    dist = data.draw(st.one_of(
+        st.floats(0.1, 200.0).map(
+            lambda t: WeightDistribution("exponential", t)),
+        st.tuples(st.floats(0.1, 50.0), st.floats(0.05, 5.0)).map(
+            lambda tc: WeightDistribution("exponential", tc[0],
+                                          cap=tc[0] * tc[1])),
+        st.floats(0.1, 10.0).map(lambda b: WeightDistribution("uniform", b)),
+        st.floats(0.0, 3.0).map(lambda c: WeightDistribution("constant", c))))
+    s = PairedSample(ModelParams(n, d, 1.0, dist), seed)
+    assert nn_all_faces(s).tobytes() == \
+        cofacet_minima(s.all_weights(), n, d).tobytes()
 
 
 BUILTIN_SPECS = ["nn", "nn-alpha:0.5", "nn-alpha:4", "isolated", "cocycle:1",

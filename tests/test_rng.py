@@ -1,5 +1,6 @@
-"""The contiguous-stream block kernel (`ranks_below`, `uniform_range`)
-against the scattered `uniforms` and the scalar `uniform_at`."""
+"""The contiguous-stream block kernel (`ranks_below`, `bits_range`,
+`uniform_range`) against the scattered `uniforms` and the scalar
+`uniform_at`."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,9 @@ def test_block_kernel_matches_scattered_draws(key, count, k, data):
         [rng.uniform_at(key, r) for r in probe]
     full = rng.uniform_range(key, count)
     assert full.dtype == np.float64 and np.array_equal(bits(full), bits(ref))
+    raw = rng.bits_range(key, count)
+    assert raw.dtype == np.uint64 and raw.shape == (count,)
+    assert np.array_equal(bits(rng.to_uniform(raw)), bits(ref))
     # thresholds on the 2^-53 grid, at drawn values (u < p is strict) and
     # at the ends of (0, 1], each with its float neighbours
     ps = around(k * 2.0 ** -53) + [q for p in EDGES for q in around(p)]

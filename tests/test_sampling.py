@@ -13,7 +13,7 @@ from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 sample_complex, truncated_params)
 from rwcomplex.simplices import (WeightedComplex, d_simplex_count,
                                  simplex_table)
-from rwcomplex.statistics import Statistic, nn_all_faces
+from rwcomplex.statistics import Statistic, make_statistic, nn_all_faces
 
 
 def _params(n=10, d=2, p=0.3, mean=2.0):
@@ -50,6 +50,19 @@ def test_distribution_rejects_non_finite_parameters(bad):
         WeightDistribution("exponential", 1.0, cap=bad)
 
 
+def _cdf(dist, x):
+    # the reference distribution function of each weight law
+    x = np.asarray(x, dtype=np.float64)
+    if dist.kind == "exponential":
+        c = 1.0 - np.exp(-np.maximum(x, 0.0) / dist.param)
+        if dist.cap is not None:
+            c = np.minimum(c / (1.0 - math.exp(-dist.cap / dist.param)), 1.0)
+        return np.where(x < 0, 0.0, c)
+    if dist.kind == "uniform":
+        return np.clip(x / dist.param, 0.0, 1.0) * (x > 0)
+    return (x >= dist.param).astype(float)
+
+
 def test_inverse_cdf_inverts_cdf():
     for dist in (WeightDistribution("exponential", 2.0),
                  WeightDistribution("exponential", 2.0, cap=1.5),
@@ -58,9 +71,9 @@ def test_inverse_cdf_inverts_cdf():
         x = dist.inverse_cdf(u)
         if dist.kind == "uniform":
             # uniform uses the survival transform x = b(1-u)
-            assert np.allclose(dist.cdf(x), 1.0 - u)
+            assert np.allclose(_cdf(dist, x), 1.0 - u)
         else:
-            assert np.allclose(dist.cdf(x), u)
+            assert np.allclose(_cdf(dist, x), u)
         if dist.cap is not None:
             assert np.all(x <= dist.cap + 1e-12)
 
@@ -99,12 +112,47 @@ def test_inverse_cdf_is_bit_identical_to_the_plain_expressions(dist):
         assert one.tobytes() == _inverse_cdf_before(dist, x).tobytes()
 
 
+@pytest.mark.parametrize("y", [math.exp(-1.0), math.exp(-0.5), 0.5])
+def test_log_and_inverse_cdf_are_monotone_on_the_uniform_grid(y):
+    # nn_all_faces takes the minimum before the inverse CDF, which is exact
+    # only if log (and so every law) is non-decreasing on the 2^-53 grid of
+    # 1 - u; its steps are closest in output ulps near 1 - u = 1/e
+    k = round(y * 2.0 ** 53) + np.arange(-2 ** 19, 2 ** 19 + 1)
+    one_minus_u = k * 2.0 ** -53
+    assert np.all(np.diff(one_minus_u) == 2.0 ** -53)
+    assert np.all(np.diff(np.log(one_minus_u)) >= 0)
+    u = 1.0 - one_minus_u[::-1]                 # ascending uniforms
+    assert np.all(np.diff(u) > 0)
+    for dist in (WeightDistribution("exponential", 120.0),
+                 WeightDistribution("exponential", 2.0, cap=1.5),
+                 WeightDistribution("exponential", 1.0, cap=5.0)):
+        assert np.all(np.diff(dist.inverse_cdf(u)) >= 0)
+
+
+@pytest.mark.parametrize("dist", [
+    WeightDistribution("exponential", 40.0),
+    WeightDistribution("uniform", 3.0)], ids=lambda d: d.kind)
+def test_nn_replica_transforms_only_the_face_minima(monkeypatch, dist):
+    sizes = []
+    transform = WeightDistribution._inverse_cdf_over
+
+    def spy(self, u):
+        sizes.append(np.size(u))
+        return transform(self, u)
+    monkeypatch.setattr(WeightDistribution, "_inverse_cdf_over", spy)
+    params = ModelParams(40, 2, 1.0, dist)
+    nn = make_statistic("nn", params)
+    for seed in (1, 2):
+        nn.sample_value(PairedSample(params, seed))
+    assert sizes and max(sizes) <= math.comb(40, 2)
+
+
 def test_weight_law_kolmogorov_smirnov():
     # the materialized weights should follow the declared law
     params = _params(n=12, d=1, p=1.0, mean=3.0)
     s = PairedSample(params, 99)
     w = s.weight_values(np.arange(params.num_d_simplices))
-    u = np.sort(params.dist.cdf(w))
+    u = np.sort(_cdf(params.dist, w))
     m = u.size
     ks = max(max(i / m - u[i - 1], u[i - 1] - (i - 1) / m)
              for i in range(1, m + 1))

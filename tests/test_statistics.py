@@ -6,16 +6,15 @@ import pytest
 
 from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
                                 exp_mean_n, sample_complex)
-from rwcomplex.simplices import (WeightedComplex, cofacets, rank_colex,
-                                 unrank_colex)
+from rwcomplex.simplices import (WeightedComplex, cofacet_ranks, cofacets,
+                                 rank_colex, unrank_colex)
 from rwcomplex.statistics import (LocalComplex, betti_bounded,
                                   cocycle_count_bounded, f_alpha,
                                   f_alpha_faces, isolated_count,
                                   local_statistic,
                                   LocalFunctional, g_no_top_simplex,
                                   make_cocycle_ratio, make_statistic,
-                                  nn_face, nn_terms, nn_total,
-                                  nn_total_complex)
+                                  nn_terms, nn_total, nn_total_complex)
 from rwcomplex.topology import component_view
 
 from test_cohomology import exact_cocycle_dim
@@ -44,6 +43,11 @@ def permuted(X, perm):
 
 # ---------------------------------------------------------------------------
 # nearest face-weights
+
+def nn_face(s, sigma):
+    # the minimum weight over the cofacets of one (d-1)-simplex
+    return float(s.weight_values(cofacet_ranks(sigma, s.params.n)).min())
+
 
 def test_nn_total_matches_brute_force():
     params = exp_mean_n(9, 2)

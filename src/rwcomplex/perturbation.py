@@ -20,8 +20,8 @@ import numpy as np
 
 from . import rng
 from .sampling import ForcedBits, ModelParams, PairedSample, sample_complex
-from .simplices import (WeightedComplex, rank_colex, unrank_colex,
-                        unrank_colex_array)
+from .simplices import (WeightedComplex, _check_weights, rank_colex,
+                        unrank_colex, unrank_colex_array)
 from .statistics import Statistic
 from .topology import ball_k, canonical_disjoint_pair, connected_within
 
@@ -79,7 +79,7 @@ def add_one_cost(f: Statistic, X: WeightedComplex, tau,
     tau_rank = _as_rank(tau)
     # refuse what X + tau would: a rank out of range, then a bad weight
     unrank_colex_array([tau_rank], X.d, X.n)
-    WeightedComplex(X.n, X.d, [tau_rank], [w_tau])
+    _check_weights(np.float64(w_tau))
     return _change(f, X, tau_rank, w_tau, None)
 
 
@@ -94,7 +94,7 @@ def local_add_one_cost(f: Statistic, X: WeightedComplex, tau,
         raise ValueError("k must be nonnegative")
     tau_rank = _as_rank(tau)
     tau_verts = unrank_colex(tau_rank, X.d, X.n)
-    WeightedComplex(X.n, X.d, [tau_rank], [w_tau])  # a bad weight, as X + tau
+    _check_weights(np.float64(w_tau))    # a bad weight, as X + tau
     return _ball_change(f, X, tau_rank, tau_verts, w_tau, None, k)
 
 

@@ -55,12 +55,14 @@ def uniform_at(key: int, counter: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
-def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer of the uint64 array z, in place; t is scratch."""
+def _mix(z: np.ndarray, t: np.ndarray, last: bool = True) -> np.ndarray:
+    """SplitMix64 finalizer of the uint64 array z, in place; t is scratch.
+    With last=False the final step z ^= z >> 31 is left to the caller."""
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=t), out=z)
         np.multiply(z, np.uint64(mult), out=z)
-    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z) \
+        if last else z
 
 
 def uniforms(key: int, counters) -> np.ndarray:
@@ -80,23 +82,31 @@ def to_uniform(z: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * _INV_2_53
 
 
-def _blocks(key: int, count: int, out=None):
+def _blocks(key: int, count: int, out=None, last: bool = True):
     """(lo, outputs at lo, lo+1, ...) per block: in out, else in one buffer."""
     z, t = np.empty((2, min(count, BLOCK)), dtype=np.uint64)
     for lo in range(0, count, BLOCK):
         zb = z[:count - lo] if out is None else out[lo:lo + BLOCK]
         base = np.uint64((key + _GOLDEN * (lo + 1)) & _MASK)
-        yield lo, _mix(np.add(_STEPS[:zb.size], base, out=zb), t[:zb.size])
+        yield lo, _mix(np.add(_STEPS[:zb.size], base, out=zb), t[:zb.size],
+                       last)
 
 
 def ranks_below(key: int, count: int, p: float) -> np.ndarray:
     """Ascending counters r < count with uniform_at(key, r) < p, exactly:
-    u = (z >> 11) * 2^-53 < p iff z < ceil(p * 2^53) * 2^11."""
+    u = (z >> 11) * 2^-53 < p iff z < L = ceil(p * 2^53) * 2^11.  The last
+    mix step z ^= z >> 31 keeps the top 31 bits, so only the unfinished
+    z <= L | (2^33 - 1) are candidates; they alone are finished and tested."""
     if p >= 1.0:
         return np.arange(count, dtype=np.int64)
-    limit = np.uint64(int(np.ceil(p * 2.0 ** 53)) << 11)
-    return np.concatenate([np.empty(0, dtype=np.int64)] + [
-        lo + np.flatnonzero(z < limit) for lo, z in _blocks(key, count)])
+    limit = int(np.ceil(p * 2.0 ** 53)) << 11
+    bound, limit = np.uint64(limit | (1 << 33) - 1), np.uint64(limit)
+    parts = [np.empty(0, dtype=np.int64)]
+    for lo, z in _blocks(key, count, last=False):
+        cand = np.flatnonzero(z <= bound)
+        y = z[cand]
+        parts.append(lo + cand[(y ^ (y >> np.uint64(31))) < limit])
+    return np.concatenate(parts)
 
 
 def bits_range(key: int, count: int) -> np.ndarray:

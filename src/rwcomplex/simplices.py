@@ -13,7 +13,7 @@ their weights; the complete (d-1)-skeleton is implicit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -34,6 +34,14 @@ def check_simplex(vertices: Sequence[int], n: int) -> None:
         raise ValueError("vertices out of range [0, %d): %r" % (n, v))
 
 
+def _check_weights(weights) -> None:
+    """Refuse non-finite or negative simplex weights."""
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    if np.any(weights < 0):
+        raise ValueError("negative weight")
+
+
 def rank_colex(vertices: Sequence[int]) -> int:
     """Colexicographic rank of a strictly increasing vertex tuple."""
     return sum(math.comb(v, i + 1) for i, v in enumerate(vertices))
@@ -43,14 +51,12 @@ def unrank_colex(r: int, k: int, n: int) -> Simplex:
     """Inverse of rank_colex for k-simplices over n vertices."""
     if not 0 <= r < math.comb(n, k + 1):
         raise ValueError("rank %d out of range for k=%d, n=%d" % (r, k, n))
-    out = [0] * (k + 1)
-    m = n
+    B = _comb_rows(n, k)
+    out, m = [0] * (k + 1), n
     for j in range(k + 1, 0, -1):
-        # Largest m with C(m, j) <= r picks the j-th smallest remaining slot.
-        m -= 1
-        while math.comb(m, j) > r:
-            m -= 1
-        r -= math.comb(m, j)
+        # largest m below the last with C(m, j) <= r (rows are sorted)
+        m = bisect_right(B[j], r, 0, m) - 1
+        r -= B[j][m]
         out[j - 1] = m
     return tuple(out)
 
@@ -84,14 +90,21 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @lru_cache(maxsize=32)
+def _comb_rows(n: int, k: int) -> tuple:
+    """Rows B[j][v] = C(v, j) for j <= k+1 and v <= n, as exact ints."""
+    return tuple(tuple(math.comb(v, j) for v in range(n + 1))
+                 for j in range(k + 2))
+
+
+@lru_cache(maxsize=32)
 def _binomials(n: int, k: int) -> np.ndarray:
     """Read-only table B[j, v] = C(v, j) for j <= k+1 and v <= n.
 
     Entries past the int64 range are saturated: they exceed every rank
     that fits in int64, so they never match and never enter a sum.
     """
-    B = np.array([[min(math.comb(v, j), _INT64_MAX) for v in range(n + 1)]
-                  for j in range(k + 2)], dtype=np.int64)
+    B = np.array([[min(c, _INT64_MAX) for c in row]
+                  for row in _comb_rows(n, k)], dtype=np.int64)
     B.setflags(write=False)
     return B
 
@@ -194,10 +207,7 @@ class WeightedComplex:
                 raise ValueError("present ranks must be sorted and unique")
             if present[0] < 0 or present[-1] >= math.comb(self.n, self.d + 1):
                 raise ValueError("present rank out of range")
-            if not np.isfinite(weights).all():
-                raise ValueError("weights must be finite")
-            if np.any(weights < 0):
-                raise ValueError("negative weight")
+            _check_weights(weights)
         present.setflags(write=False)
         weights.setflags(write=False)
 
@@ -270,13 +280,15 @@ def _sub(X: WeightedComplex, pos: np.ndarray) -> WeightedComplex:
 
 
 class FaceIndex:
-    """Face incidence of a complex, from one stable argsort of its face rows:
-    the covered (d-1)-simplices get ids 0, 1, ... in ascending rank, and the
-    simplices on face j sit at positions simp[ptr[j]:ptr[j+1]] of `present`."""
+    """Face incidence of a complex, from one stable (radix up to 2^16 faces)
+    argsort of its face rows in their smallest unsigned dtype: the covered
+    (d-1)-simplices get ids 0, 1, ... in ascending rank, and the simplices
+    on face j sit at ascending positions simp[ptr[j]:ptr[j+1]] of present."""
 
     def __init__(self, face_rows: np.ndarray):
         flat = face_rows.ravel()
-        order = flat.argsort(kind="stable")
+        order = flat.astype(np.min_scalar_type(flat.max(initial=0))).argsort(
+            kind="stable")
         ranks = flat[order]
         new = np.ones(flat.size + 1, dtype=bool)    # run starts, plus the end
         np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
@@ -405,8 +417,5 @@ def d_simplex_count(n: int, d: int) -> int:
 def simplex_table(n: int, d: int) -> SimplexTable:
     verts = unrank_colex_array(np.arange(d_simplex_count(n, d)), d, n)
     face_ranks = face_rank_array(verts, n)
-    order = np.argsort(face_ranks.ravel(), kind="stable")
-    nf = math.comb(n, d)
-    assert order.size == nf * (n - d)
-    cof = (order // (d + 1)).astype(np.int64).reshape(nf, n - d)
+    cof = FaceIndex(face_ranks).simp.reshape(math.comb(n, d), n - d)
     return SimplexTable(n, d, verts, face_ranks, cof)

@@ -129,27 +129,23 @@ class ComponentLabeling:
 
 def component_labels(X: WeightedComplex) -> np.ndarray:
     """The strong component id of each face of X.face_index, numbered by
-    first appearance in face_rows read row by row."""
+    first appearance in face_rows read row by row.  Each pair of simplices
+    next to each other on one face's run of the CSR hooks its larger root to
+    its smaller, then pointers jump to a fixed point, until every pair has
+    one root: the least simplex position in its component, so roots count."""
     index = X.face_index
-    rows = index.rows
-    lab = np.arange(index.faces.size)
-    while rows.size:
-        # each face takes the least label on its simplices (over the CSR),
-        # the faces its old label names adopt it (hooking), then pointer
-        # jumping to a fixed point
-        new = np.minimum.reduceat(lab[rows].min(axis=1)[index.simp],
-                                  index.ptr[:-1])
-        np.minimum.at(new, lab, new)
-        jumped = new[new]
-        while not np.array_equal(jumped, new):
-            new, jumped = jumped, jumped[jumped]
-        if np.array_equal(new, lab):
-            break
-        lab = new
-    roots, first = np.unique(lab[rows[:, 0]], return_index=True)
-    cid_of = np.empty_like(lab)
-    cid_of[roots[np.argsort(first)]] = np.arange(roots.size)
-    return cid_of[lab]
+    simp, ptr = index.simp, index.ptr
+    a = np.delete(np.arange(simp.size), ptr[:-1])   # not a run start
+    u, v = simp[a - 1], simp[a]
+    parent, ru, rv = np.arange(X.num_present), u, v
+    while not np.array_equal(ru, rv):
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        ru, rv = parent[u], parent[v]
+    cid = np.cumsum(parent == np.arange(parent.size)) - 1
+    return cid[parent[simp[ptr[:-1]]]]
 
 
 def components(X: WeightedComplex) -> ComponentLabeling:

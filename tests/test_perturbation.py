@@ -389,6 +389,22 @@ def test_differences_match_the_two_complex_reference(spec, d, data):
         _outcome(ref_local_randomized_derivative, f, s, F, tau, k)
 
 
+@pytest.mark.parametrize("w, message", [
+    (math.nan, "weights must be finite"), (math.inf, "weights must be finite"),
+    (-math.inf, "weights must be finite"), (-1.0, "negative weight")])
+def test_add_one_costs_refuse_a_bad_weight_as_x_plus_tau_does(w, message):
+    params = ModelParams(7, 2, 0.5, WeightDistribution("exponential", 1.0))
+    f = make_statistic("isolated", params)
+    X = sample_complex(params, 3)
+    for tau in (int(X.present[0]), rank_colex((0, 1, 6))):
+        for run in (lambda: X.with_simplex(tau, w),
+                    lambda: add_one_cost(f, X, tau, w),
+                    lambda: local_add_one_cost(f, X, tau, w, 2)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == message
+
+
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)
 def test_differences_never_toggle_the_full_complex(spec, monkeypatch):
     # neither X + tau, X - tau nor X^{F + tau} may be built: each

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rwcomplex.sampling import ModelParams, PairedSample, WeightDistribution
-from rwcomplex.simplices import (WeightedComplex, _cofacet_plan,
+from rwcomplex import rng
+from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
+                                sample_complex)
+from rwcomplex.simplices import (FaceIndex, WeightedComplex, _cofacet_plan,
                                  cofacet_minima, degree, face_rank_array,
                                  faces, rank_colex, simplex_table,
                                  unrank_colex, unrank_colex_array)
@@ -16,8 +18,8 @@ from rwcomplex.statistics import (LocalComplex, LocalFunctional,
                                   cocycle_count_bounded, f_alpha_faces,
                                   isolated_count, local_statistic_terms,
                                   make_statistic, nn_all_faces, nn_terms)
-from rwcomplex.topology import (ball_k, bfs_distances, component_view,
-                                components, m_ball)
+from rwcomplex.topology import (ball_k, bfs_distances, component_labels,
+                                component_view, components, m_ball)
 
 from test_cohomology import exact_cocycle_dim
 from test_topology import (bfs_components, dict_ball, dict_bfs,
@@ -177,6 +179,71 @@ def test_components_of_long_strips_match_bfs_reference(d, data):
     X = WeightedComplex(n, d, np.array(ranks, dtype=np.int64),
                         np.ones(len(ranks)))
     assert components(X) == bfs_components(X)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@settings(SETTINGS, max_examples=30)
+@given(st.data())
+def test_component_labels_match_bfs_reference_on_model_samples(d, data):
+    # sparse, critical (about 1/d cofacets per face) and giant-component
+    # complexes of the model, ids included, and the empty complex
+    n = data.draw(st.integers(d + 2, {1: 80, 2: 36, 3: 18}[d]))
+    lam = data.draw(st.sampled_from([0.2, 1.0 / d, 1.0, 3.0, 8.0]))
+    X = sample_complex(ModelParams(n, d, min(1.0, lam / n),
+                                   WeightDistribution("constant", 1.0)),
+                       data.draw(st.integers(0, 2 ** 63 - 1)))
+    for Y in (X, WeightedComplex(n, d, [], [])):
+        labels = component_labels(Y)
+        assert labels.dtype == np.int64
+        assert dict(zip(Y.face_index.faces.tolist(), labels.tolist())) == \
+            bfs_components(Y).labels
+
+
+@settings(SETTINGS, max_examples=40)
+@given(st.integers(0, 2 ** 64 - 1), st.sampled_from(
+    [rng.BLOCK - 1, rng.BLOCK, rng.BLOCK + 1, 2 * rng.BLOCK + 3]),
+    st.one_of(st.sampled_from([2.0 ** -53, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -32,
+                               2.0 ** -20, 0.5]),
+              st.floats(2.0 ** -40, 1.0, exclude_max=True)))
+def test_ranks_below_matches_the_uniforms(key, count, p):
+    # 1 - 2^-32 has L >> 33 = 2^31 - 1: every output is a candidate
+    want = np.flatnonzero(rng.uniforms(key, np.arange(count)) < p)
+    assert rng.ranks_below(key, count, p).tobytes() == want.tobytes()
+
+
+def int64_face_index(face_rows):
+    """faces, ptr, rows and simp of FaceIndex from the stable argsort of
+    the int64 face ranks themselves."""
+    flat = face_rows.ravel()
+    order = flat.argsort(kind="stable")
+    ranks = flat[order]
+    new = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
+    ptr = new.nonzero()[0]
+    rows = np.empty(face_rows.shape, dtype=order.dtype)
+    rows.ravel()[order] = new[:-1].cumsum() - 1
+    return ranks[ptr[:-1]], ptr, rows, order // face_rows.shape[1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [8, 60, 400, 3000])
+@settings(SETTINGS, max_examples=20)
+@given(st.data())
+def test_face_index_matches_the_int64_argsort(d, n, data):
+    # simplices on a few drawn vertices share faces; vertices counted down
+    # from n - 1 give face ranks past 2^16 from n = 400, d = 2 on, and past
+    # 2^32 at n = 3000, d = 3
+    pool = sorted(n - 1 - v for v in data.draw(st.sets(
+        st.integers(0, n - 1), min_size=d + 1, max_size=d + 7)))
+    size = data.draw(st.integers(1, 40))
+    tops = sorted(set(data.draw(st.lists(st.permutations(pool).map(
+        lambda v: rank_colex(sorted(v[:d + 1]))), min_size=size,
+        max_size=size))))
+    X = WeightedComplex(n, d, tops, np.ones(len(tops)))
+    index = FaceIndex(X.face_rows)
+    for got, want in zip((index.faces, index.ptr, index.rows, index.simp),
+                         int64_face_index(X.face_rows)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @SETTINGS

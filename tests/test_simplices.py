@@ -31,6 +31,40 @@ def test_rank_independent_of_n():
     assert unrank_colex(5, 1, 5) == unrank_colex(5, 1, 50)
 
 
+def loop_unrank_colex(r, k, n):
+    """The math.comb while-loop unrank that the table bisection replaced."""
+    if not 0 <= r < math.comb(n, k + 1):
+        raise ValueError("rank %d out of range for k=%d, n=%d" % (r, k, n))
+    out = [0] * (k + 1)
+    m = n
+    for j in range(k + 1, 0, -1):
+        m -= 1
+        while math.comb(m, j) > r:
+            m -= 1
+        r -= math.comb(m, j)
+        out[j - 1] = m
+    return tuple(out)
+
+
+def test_unrank_matches_the_comb_loop():
+    for n in range(1, 11):
+        for k in range(n):
+            for r in range(-1, math.comb(n, k + 1) + 1):
+                try:
+                    want = loop_unrank_colex(r, k, n)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as err:
+                        unrank_colex(r, k, n)
+                    assert str(err.value) == str(exc)
+                else:
+                    assert unrank_colex(r, k, n) == want
+    rnd = random.Random(5)
+    for k in (0, 1, 2, 3, 7, 40, 150, 299):
+        top = math.comb(300, k + 1)     # past int64 from k = 7 on
+        for r in [0, top - 1] + [rnd.randrange(top) for _ in range(200)]:
+            assert unrank_colex(r, k, 300) == loop_unrank_colex(r, k, 300)
+
+
 def test_unrank_range_check():
     with pytest.raises(ValueError):
         unrank_colex(math.comb(6, 3), 2, 6)

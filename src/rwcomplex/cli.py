@@ -63,13 +63,28 @@ def _resolve_p(n: int, p: Optional[float], lam: Optional[float]) -> float:
     return p if p is not None else lam / n
 
 
+def _int_field(obj: dict, key: str) -> int:
+    """obj[key] read by int(), refusing what int() would fail on or change
+    (a fraction, a bool) with a usage error that names the field."""
+    value = obj[key]
+    try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError("field %s must be an integer, got %s"
+                         % (key, json.dumps(value)))
+
+
 def parse_config(text: str, overrides: Optional[dict] = None
                  ) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON document plus flag overrides.
 
-    Recognized fields: n, d, p or lambda, stat, replicas, seed, workers,
-    dist, out, mode.  Unknown fields are rejected; every offending field is
-    listed.
+    Recognized fields: n, d, p or lambda, stat, replicas, seed, dist, out,
+    mode.  Unknown fields are rejected; every offending field is listed.
+    n, d, replicas and seed are read by int(); a value it would refuse or
+    change (20.7, true, "x") is a usage error naming the field.
     """
     from .harness import ExperimentConfig
     from .sampling import ModelParams, WeightDistribution
@@ -81,8 +96,8 @@ def parse_config(text: str, overrides: Optional[dict] = None
         raise UsageError("config must be a JSON object")
     obj = dict(obj)
     obj.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    known = {"n", "d", "p", "lambda", "stat", "replicas", "seed", "workers",
-             "dist", "out", "mode"}
+    known = {"n", "d", "p", "lambda", "stat", "replicas", "seed", "dist",
+             "out", "mode"}
     bad = sorted(set(obj) - known)
     missing = sorted(k for k in ("n", "d", "stat", "replicas", "seed")
                      if k not in obj)
@@ -93,7 +108,8 @@ def parse_config(text: str, overrides: Optional[dict] = None
         if missing:
             msgs.append("missing fields: %s" % ", ".join(missing))
         raise UsageError("; ".join(msgs))
-    n = int(obj["n"])
+    n, d, replicas, seed = (_int_field(obj, k)
+                            for k in ("n", "d", "replicas", "seed"))
     p = _resolve_p(n, obj.get("p"), obj.get("lambda"))
     if "dist" in obj and obj["dist"] is not None:
         dist = obj["dist"]
@@ -103,13 +119,10 @@ def parse_config(text: str, overrides: Optional[dict] = None
         dist = WeightDistribution("exponential", float(n))
     else:
         dist = WeightDistribution("constant", 1.0)
-    params = ModelParams(n, int(obj["d"]), p, dist)
+    params = ModelParams(n, d, p, dist)
     return ExperimentConfig(
-        params=params, statistic=str(obj["stat"]),
-        replicas=int(obj["replicas"]), seed=int(obj["seed"]),
-        workers=int(obj["workers"]) if obj.get("workers") is not None
-        else 1,
-        outputs=obj.get("out"), mode=str(obj.get("mode", "clt")))
+        params=params, statistic=str(obj["stat"]), replicas=replicas,
+        seed=seed, outputs=obj.get("out"), mode=str(obj.get("mode", "clt")))
 
 
 def _emit(record: dict, out: Optional[str]) -> None:
@@ -134,7 +147,6 @@ def _experiment_flags(sub: argparse.ArgumentParser) -> None:
                                        "constant:<c>")
     sub.add_argument("--replicas", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--workers", type=int)
     sub.add_argument("--out", help="output directory")
 
 
@@ -144,8 +156,7 @@ def _config_from_args(args) -> ExperimentConfig:
         base = Path(args.config).read_text()
     overrides = {"stat": args.stat, "n": args.n, "d": args.d, "p": args.p,
                  "lambda": args.lam, "replicas": args.replicas,
-                 "seed": args.seed, "workers": args.workers,
-                 "out": args.out, "dist": args.weights}
+                 "seed": args.seed, "out": args.out, "dist": args.weights}
     return parse_config(base, overrides)
 
 

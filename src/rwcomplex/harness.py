@@ -1,8 +1,8 @@
 """Monte Carlo experiment engine.
 
-Replicates statistics over deterministic per-replica seeds, accumulates
-moments with order-fixed (pairwise) summation so results are identical for
-any worker count, and measures the empirical Kolmogorov distance of the
+Replicates statistics over deterministic per-replica seeds, in index
+order on the calling thread, accumulates moments with order-fixed (pairwise)
+summation, and measures the empirical Kolmogorov distance of the
 standardized sample to the standard normal.
 """
 from __future__ import annotations
@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence
@@ -59,7 +59,7 @@ class ExperimentConfig:
     statistic: str
     replicas: int
     seed: int
-    workers: int = 1
+    workers: int = 1    # selects nothing; goes with `mode` (ROADMAP item 4)
     outputs: Optional[str] = None
     mode: str = "clt"
 
@@ -111,27 +111,7 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# deterministic parallel replication
-
-def _parallel_values(fn: Callable[[int], float], replicas: int,
-                     workers: int) -> np.ndarray:
-    """values[i] = fn(i); each value is a pure function of its index, and
-    results are stored by index, so the output is scheduling-independent."""
-    values = np.empty(replicas)
-    if workers == 1:
-        for i in range(replicas):
-            values[i] = fn(i)
-        return values
-    chunk = max(1, (replicas + 4 * workers - 1) // (4 * workers))
-
-    def run_chunk(lo: int) -> None:
-        for i in range(lo, min(lo + chunk, replicas)):
-            values[i] = fn(i)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_chunk, range(0, replicas, chunk)))
-    return values
-
+# replication
 
 def _replica_fn(config: ExperimentConfig) -> Callable[[int], float]:
     """fn(i) = the statistic of replica i, sampled at child seed i."""
@@ -194,6 +174,9 @@ def _write_outputs(config: ExperimentConfig, values: np.ndarray,
     summary = RunSummary(**{**summary.__dict__, "csv_path": str(csv_path)})
     record = {"config": config.to_json(), "summary": summary.to_json(),
               "meta": {"wall_time": summary.wall_time,
+                       "replicas_per_s": summary.replicas / summary.wall_time,
+                       "python": platform.python_version(),
+                       "numpy": np.__version__,
                        "version": __version__}}
     with open(outdir / "summary.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
@@ -205,8 +188,10 @@ def _run(config: ExperimentConfig,
          extra_fn: Optional[ExtraFn] = None) -> RunSummary:
     """The one replicate -> summarize -> write path of every harness run."""
     t0 = time.perf_counter()
-    values = _parallel_values(_replica_fn(config), config.replicas,
-                              config.workers)
+    fn = _replica_fn(config)
+    values = np.empty(config.replicas)
+    for i in range(config.replicas):
+        values[i] = fn(i)
     nan = np.flatnonzero(np.isnan(values))
     if nan.size:
         i = int(nan[0])

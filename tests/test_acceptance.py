@@ -397,5 +397,6 @@ def test_ac12_deterministic_outputs(tmp_path):
         and value == 0.7399378438614895
     _check("AC12 deterministic outputs and golden files",
            workers_ok and cli_ok,
-           "summary/CSV identical for workers in {1, 4, 16}; generate is "
-           "byte-identical across runs; CLI bound value %.16f" % value)
+           "summary/CSV identical for the inert workers field in {1, 4, "
+           "16}, which selects nothing; generate is byte-identical across "
+           "runs; CLI bound value %.16f" % value)

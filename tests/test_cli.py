@@ -240,23 +240,65 @@ def test_gamma_command_exact(capsys):
 
 
 def test_clt_outputs_reproducible(tmp_path, capsys):
-    def run(outdir, workers):
+    def run(outdir):
         rc = main(["clt", "--n", "15", "--d", "1", "--p", "0.3",
                    "--stat", "isolated", "--replicas", "60", "--seed", "2",
-                   "--workers", str(workers), "--out", str(outdir)])
+                   "--out", str(outdir)])
         assert rc == 0
         capsys.readouterr()
         record = json.loads((outdir / "summary.json").read_text())
         del record["meta"]  # wall time varies run to run
         return record, (outdir / "replicas.csv").read_bytes()
 
-    r1, csv1 = run(tmp_path / "a", 1)
-    r2, csv2 = run(tmp_path / "b", 4)
-    r1["config"]["workers"] = r2["config"]["workers"] = None
+    r1, csv1 = run(tmp_path / "a")
+    r2, csv2 = run(tmp_path / "b")
     r1["config"]["outputs"] = r2["config"]["outputs"] = None
     r1["summary"]["csv_path"] = r2["summary"]["csv_path"] = None
     assert csv1 == csv2
     assert r1 == r2
+
+
+def _fails_once(argv, capsys, code, *words):
+    assert main(argv) == code, argv
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(w in err[0] for w in words), (err, words)
+    assert captured.out == ""
+
+
+def test_workers_flag_and_field_are_refused(tmp_path, capsys):
+    # replicas run serially; the knob is gone from the CLI and the config
+    run = ["clt", "--n", "15", "--d", "1", "--p", "0.3", "--stat",
+           "isolated", "--replicas", "4", "--seed", "2"]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"workers": 2}))
+    _fails_once(run + ["--workers", "2"], capsys, 1, "--workers")
+    _fails_once(run + ["--config", str(config)], capsys, 1,
+                "unknown fields: workers")
+
+
+CONFIG = {"n": 20, "d": 1, "p": 0.1, "stat": "isolated", "replicas": 4,
+          "seed": 1}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", 20.7), ("replicas", True), ("n", "x"), ("d", 1.5),
+    ("seed", None), ("replicas", [4]), ("seed", float("inf"))])
+def test_config_integers_name_the_field(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**CONFIG, field: value}))
+    _fails_once(["clt", "--config", str(path)], capsys, 1,
+                "field %s must be an integer" % field)
+
+
+def test_config_integers_keep_integral_values():
+    config = parse_config(json.dumps(
+        {**CONFIG, "n": 20.0, "d": "1", "replicas": 4, "seed": 2 ** 64 - 1}))
+    assert (config.params.n, config.params.d, config.replicas,
+            config.seed) == (20, 1, 4, 2 ** 64 - 1)
+    assert all(type(v) is int for v in (config.params.n, config.params.d,
+                                        config.replicas, config.seed))
 
 
 def test_stabilization_command(tmp_path):

@@ -1,11 +1,15 @@
 import json
 import math
+import platform
 import re
 import statistics as pystats
 import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwcomplex import harness, rng
 from rwcomplex.cli import main
@@ -17,7 +21,8 @@ from rwcomplex.harness import (ExperimentConfig, RunSummary,
                                _summarize)
 from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
                                 exp_mean_n, sample_complex)
-from rwcomplex.statistics import Statistic, isolated_count, nn_total
+from rwcomplex.statistics import (Statistic, isolated_count, make_statistic,
+                                  nn_total)
 
 
 def _config(**kw):
@@ -112,8 +117,12 @@ def test_csv_round_trip(tmp_path):
     assert again.d_kolmogorov == summary.d_kolmogorov
     record = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert record["summary"]["mean"] == summary.mean
-    assert "wall_time" in record["meta"]
-    assert record["meta"]["version"] == "0.1.0"
+    meta = record["meta"]
+    assert meta["wall_time"] == summary.wall_time > 0
+    assert meta["replicas_per_s"] == config.replicas / summary.wall_time
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["version"] == "0.1.0"
 
 
 def test_csv_rejects_bad_header(tmp_path):
@@ -182,6 +191,48 @@ def test_replica_fn_is_row_i_of_the_replica_csv(tmp_path):
         values = read_replicas_csv(run_clt(config).csv_path)
         fn = harness._replica_fn(config)
         assert [fn(i) for i in range(config.replicas)] == values.tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(stat=st.sampled_from(["isolated", "nn", "cocycle:3"]),
+       d=st.integers(1, 2), extra=st.integers(1, 8),
+       lam=st.floats(0.2, 3.0), replicas=st.integers(2, 7),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_replicas_run_in_index_order_on_the_calling_thread(
+        stat, d, extra, lam, replicas, seed):
+    # workers=2, as the clt-cocycle workload sets it, must select nothing:
+    # one callable per run, called once per index, in order, on this
+    # thread, and the CSV is a direct loop over the child seeds
+    n = d + 1 + extra
+    params = exp_mean_n(n, d) if stat == "nn" else \
+        ModelParams(n, d, min(1.0, lam / n),
+                    WeightDistribution("constant", 1.0))
+    want = np.array([make_statistic(stat, params).sample_value(
+        PairedSample(params, rng.child_seed(seed, i)))
+        for i in range(replicas)])
+    made, calls = [], []
+    make_fn = harness._replica_fn
+
+    def spy(config):
+        made.append(config)
+        fn = make_fn(config)
+
+        def traced(i):
+            calls.append((i, threading.get_ident()))
+            return fn(i)
+        return traced
+    harness._replica_fn = spy
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            config = _config(params=params, statistic=stat,
+                             replicas=replicas, seed=seed, workers=2,
+                             outputs=out)
+            got = read_replicas_csv(run_clt(config).csv_path)
+    finally:
+        harness._replica_fn = make_fn
+    assert got.tobytes() == want.tobytes()
+    assert made == [config]
+    assert calls == [(i, threading.get_ident()) for i in range(replicas)]
 
 
 def _forbid_simplex_table(monkeypatch):

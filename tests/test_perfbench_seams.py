@@ -94,3 +94,16 @@ def test_workload_jobs_can_be_built(name):
     cfg = workloads.experiment_config(sp, seed, sp["replicas"])
     assert isinstance(cfg, ExperimentConfig)
     assert (cfg.workers, cfg.statistic) == (sp["workers"], sp["stat"])
+
+
+def test_config_record_keeps_workers_and_mode():
+    # the recorded stabilization-cocycle digest hashes the whole record,
+    # config included, and workloads.py sets workers and mode: dropping
+    # either key fails that check until the digest is recorded again
+    from rwcomplex.harness import ExperimentConfig
+    from rwcomplex.sampling import ModelParams, WeightDistribution
+    params = ModelParams(40, 2, 1 / 40, WeightDistribution("constant", 1.0))
+    cfg = ExperimentConfig(params=params, statistic="cocycle:3", replicas=2,
+                           seed=1, workers=2, mode="stabilization")
+    record = cfg.to_json()
+    assert (record["workers"], record["mode"]) == (2, "stabilization")

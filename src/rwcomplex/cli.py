@@ -81,8 +81,8 @@ def parse_config(text: str, overrides: Optional[dict] = None
                  ) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON document plus flag overrides.
 
-    Recognized fields: n, d, p or lambda, stat, replicas, seed, dist, out,
-    mode.  Unknown fields are rejected; every offending field is listed.
+    Recognized fields: n, d, p or lambda, stat, replicas, seed, dist and
+    out.  Unknown fields are rejected; every offending field is listed.
     n, d, replicas and seed are read by int(); a value it would refuse or
     change (20.7, true, "x") is a usage error naming the field.
     """
@@ -97,7 +97,7 @@ def parse_config(text: str, overrides: Optional[dict] = None
     obj = dict(obj)
     obj.update({k: v for k, v in (overrides or {}).items() if v is not None})
     known = {"n", "d", "p", "lambda", "stat", "replicas", "seed", "dist",
-             "out", "mode"}
+             "out"}
     bad = sorted(set(obj) - known)
     missing = sorted(k for k in ("n", "d", "stat", "replicas", "seed")
                      if k not in obj)
@@ -122,7 +122,7 @@ def parse_config(text: str, overrides: Optional[dict] = None
     params = ModelParams(n, d, p, dist)
     return ExperimentConfig(
         params=params, statistic=str(obj["stat"]), replicas=replicas,
-        seed=seed, outputs=obj.get("out"), mode=str(obj.get("mode", "clt")))
+        seed=seed, outputs=obj.get("out"))
 
 
 def _emit(record: dict, out: Optional[str]) -> None:

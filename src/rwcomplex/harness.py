@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import platform
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,7 +62,7 @@ class ExperimentConfig:
     seed: int
     workers: int = 1    # selects nothing; goes with `mode` (ROADMAP item 4)
     outputs: Optional[str] = None
-    mode: str = "clt"
+    mode: str = "clt"   # selects nothing; the config file cannot set it
 
     def __post_init__(self):
         if self.replicas < 2:
@@ -177,6 +178,9 @@ def _write_outputs(config: ExperimentConfig, values: np.ndarray,
                        "replicas_per_s": summary.replicas / summary.wall_time,
                        "python": platform.python_version(),
                        "numpy": np.__version__,
+                       # ru_maxrss is in KiB on Linux
+                       "peak_rss_mb": resource.getrusage(
+                           resource.RUSAGE_SELF).ru_maxrss / 1024,
                        "version": __version__}}
     with open(outdir / "summary.json", "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import rng
 from .sampling import ForcedBits, ModelParams, PairedSample, sample_complex
-from .simplices import (WeightedComplex, _check_weights, rank_colex,
-                        unrank_colex, unrank_colex_array)
+from .simplices import (WeightedComplex, _check_rank, _check_weights,
+                        rank_colex, unrank_colex)
 from .statistics import Statistic
 from .topology import ball_k, canonical_disjoint_pair, connected_within
 
@@ -78,7 +78,7 @@ def add_one_cost(f: Statistic, X: WeightedComplex, tau,
     """D_tau f(X) = f(X + tau) - f(X - tau), tau carrying weight w_tau."""
     tau_rank = _as_rank(tau)
     # refuse what X + tau would: a rank out of range, then a bad weight
-    unrank_colex_array([tau_rank], X.d, X.n)
+    _check_rank(tau_rank, X.d, X.n)
     _check_weights(np.float64(w_tau))
     return _change(f, X, tau_rank, w_tau, None)
 

@@ -157,10 +157,13 @@ class PairedSample:
         return bits
 
     def weight_values(self, ranks, primed: bool = False) -> np.ndarray:
-        """Weights at the given ranks (w, or w' when primed)."""
+        """Weights at the given ranks (w, or w' when primed).  The constant
+        law ignores its uniforms, so it draws none."""
+        dist = self.params.dist
+        if dist.kind == "constant":
+            return dist.inverse_cdf(np.zeros(np.shape(ranks)))
         tag = rng.TAG_WP if primed else rng.TAG_W
-        u = rng.uniforms(self._key(tag), ranks)
-        return self.params.dist.inverse_cdf(u)
+        return dist.inverse_cdf(rng.uniforms(self._key(tag), ranks))
 
     def weight_bits(self) -> np.ndarray:
         """The raw uint64 outputs of the w stream at every rank, in order."""
@@ -191,8 +194,10 @@ class PairedSample:
         present = rng.ranks_below(self._key(rng.TAG_B), nd, self.params.p)
         for r, v in (self.forced.b if self.forced else {}).items():
             if 0 <= r < nd:     # forced ranks out of range are ignored
-                present = np.union1d(present, [r]) if v \
-                    else np.setdiff1d(present, [r])
+                i = int(np.searchsorted(present, r))
+                if (present[i:i + 1].tolist() == [r]) != v:
+                    present = np.insert(present, i, r) if v \
+                        else np.delete(present, i)
         if fset.size:
             present = np.union1d(np.setdiff1d(present, fset),
                                  fset[self.presence(fset, primed=True)])

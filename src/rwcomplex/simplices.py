@@ -109,13 +109,19 @@ def _binomials(n: int, k: int) -> np.ndarray:
     return B
 
 
+def _check_rank(rank: int, k: int, n: int) -> None:
+    """Refuse a k-simplex rank outside [0, C(n, k+1))."""
+    if not 0 <= rank < math.comb(n, k + 1):
+        raise ValueError("rank out of range for k=%d, n=%d" % (k, n))
+
+
 def unrank_colex_array(ranks, k: int, n: int) -> np.ndarray:
     """unrank_colex over an array of ranks: row i is the k-simplex of rank
     ranks[i], shape (len(ranks), k+1)."""
     r = np.array(ranks, dtype=np.int64).reshape(-1)
-    if r.size and (int(r.min()) < 0
-                   or int(r.max()) >= math.comb(n, k + 1)):
-        raise ValueError("rank out of range for k=%d, n=%d" % (k, n))
+    if r.size:
+        _check_rank(int(r.min()), k, n)
+        _check_rank(int(r.max()), k, n)
     B = _binomials(n, k)
     out = np.empty((r.size, k + 1), dtype=np.int64)
     for j in range(k + 1, 0, -1):
@@ -126,18 +132,21 @@ def unrank_colex_array(ranks, k: int, n: int) -> np.ndarray:
     return out
 
 
-def face_rank_array(verts: np.ndarray, n: int) -> np.ndarray:
-    """Ranks of the codimension-1 faces of each row of `verts` (simplices
-    over n vertices); column i deletes vertex i, the order of faces()."""
-    verts = np.asarray(verts, dtype=np.int64)
-    m, k1 = verts.shape
-    B = _binomials(n, k1 - 1)
-    cols = np.arange(k1)
-    # face with vertex i deleted: positions j < i keep index j, j > i drop one
-    ca = np.cumsum(B[cols + 1, verts], axis=1)   # C(v_j, j+1)
-    cb = np.cumsum(B[cols, verts], axis=1)       # C(v_j, j)
-    prefix = np.hstack([np.zeros((m, 1), dtype=np.int64), ca[:, :-1]])
-    return prefix + (cb[:, -1:] - cb)
+def face_rank_array(ranks, k: int, n: int) -> np.ndarray:
+    """Face ranks of the k-simplices of rank `ranks` over n vertices, one
+    row each; column i deletes vertex i, the order of faces().  Unranking
+    from the top vertex down, face i is what is left of the rank after
+    vertex i, plus the running sum of C(v_j, j) over the vertices above."""
+    r = np.array(ranks, dtype=np.int64).reshape(-1)
+    B = _binomials(n, k)
+    out = np.empty((r.size, k + 1), dtype=np.int64)
+    above = np.zeros(r.size, dtype=np.int64)
+    for j in range(k, -1, -1):
+        v = np.searchsorted(B[j + 1], r, side="right") - 1    # vertex j
+        r -= B[j + 1, v]
+        np.add(r, above, out=out[:, j])
+        above += B[j, v]
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -219,8 +228,7 @@ class WeightedComplex:
     def face_rows(self) -> np.ndarray:
         """Face ranks of the present simplices: row i belongs to present[i],
         column j deletes vertex j.  Built once per complex."""
-        rows = face_rank_array(
-            unrank_colex_array(self.present, self.d, self.n), self.n)
+        rows = face_rank_array(self.present, self.d, self.n)
         rows.setflags(write=False)
         return rows
 
@@ -246,11 +254,11 @@ class WeightedComplex:
             w = self.weights.copy()
             w[i] = weight
             return _indexed(self.n, self.d, self.present, w, self.face_rows)
-        tau = unrank_colex_array([rank], self.d, self.n)
+        _check_rank(rank, self.d, self.n)
         return _indexed(self.n, self.d, np.insert(self.present, i, rank),
                         np.insert(self.weights, i, weight),
-                        np.insert(self.face_rows, i,
-                                  face_rank_array(tau, self.n), axis=0))
+                        np.insert(self.face_rows, i, face_rank_array(
+                            [rank], self.d, self.n), axis=0))
 
     def without_simplex(self, rank: int) -> "WeightedComplex":
         """The complex X - tau (no-op if tau is absent)."""
@@ -306,9 +314,10 @@ class FaceIndex:
 
     @cached_property
     def lists(self) -> Tuple[list, list, list, list]:
-        """faces, ptr, simp and rows[simp] flattened, as lists for walks."""
+        """faces, ptr, simp and rows flattened, as lists for walks: the
+        face ids of simplex s are rows[(d+1)*s:(d+1)*(s+1)]."""
         return (self.faces.tolist(), self.ptr.tolist(), self.simp.tolist(),
-                self.rows[self.simp].ravel().tolist())
+                self.rows.ravel().tolist())
 
 
 def degree(X: WeightedComplex, sigma: Sequence[int]) -> int:
@@ -415,7 +424,8 @@ def d_simplex_count(n: int, d: int) -> int:
 
 @lru_cache(maxsize=32)
 def simplex_table(n: int, d: int) -> SimplexTable:
-    verts = unrank_colex_array(np.arange(d_simplex_count(n, d)), d, n)
-    face_ranks = face_rank_array(verts, n)
+    ranks = np.arange(d_simplex_count(n, d))
+    verts = unrank_colex_array(ranks, d, n)
+    face_ranks = face_rank_array(ranks, d, n)
     cof = FaceIndex(face_ranks).simp.reshape(math.comb(n, d), n - d)
     return SimplexTable(n, d, verts, face_ranks, cof)

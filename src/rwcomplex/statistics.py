@@ -271,7 +271,7 @@ def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
     if M < 1:
         raise ValueError("M must be >= 1")
     pos, ranks, ids = _site(X, tau_rank)
-    _, ptr, simp, nbr = X.face_index.lists
+    _, ptr, simp, row_ids = X.face_index.lists
     k1, seen, comps = X.d + 1, set(), []
     for j in ids:
         if j < 0 or j in seen:
@@ -280,10 +280,10 @@ def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
         for f in fs:
             if len(fs) > M:
                 break
-            for a in range(ptr[f], ptr[f + 1]):
-                if simp[a] != pos:
-                    on.add(simp[a])
-                    new = set(nbr[k1 * a:k1 * a + k1]) - got
+            for s in simp[ptr[f]:ptr[f + 1]]:
+                if s != pos:
+                    on.add(s)
+                    new = set(row_ids[k1 * s:k1 * s + k1]) - got
                     got |= new
                     fs += new
         seen |= got

@@ -17,7 +17,7 @@ import numpy as np
 
 from .sampling import ModelParams
 from .simplices import (Simplex, WeightedComplex, _sub, face_rank_array,
-                        faces, rank_colex, unrank_colex_array)
+                        faces, rank_colex)
 
 
 def _walk(X: WeightedComplex, sources: List[int],
@@ -26,7 +26,7 @@ def _walk(X: WeightedComplex, sources: List[int],
     (ranks): {face rank: distance} for them and every face within `depth`,
     and the ascending positions in X.present of the simplices on the latter."""
     index = X.face_index
-    faces_, ptr, simp, nbr = index.lists
+    faces_, ptr, simp, row_ids = index.lists
     k1 = X.d + 1
     dist = dict.fromkeys([j for j in map(index.find, sources) if j >= 0], 0)
     queue = list(dist)
@@ -35,13 +35,14 @@ def _walk(X: WeightedComplex, sources: List[int],
         df = dist[f]
         if df > depth:
             break       # depth < 0: not even the sources are within it
-        a, b = ptr[f], ptr[f + 1]
-        reached += simp[a:b]
+        on = simp[ptr[f]:ptr[f + 1]]
+        reached += on
         if df < depth:
-            for o in nbr[k1 * a:k1 * b]:
-                if o not in dist:
-                    dist[o] = df + 1
-                    queue.append(o)
+            for s in on:
+                for o in row_ids[k1 * s:k1 * s + k1]:
+                    if o not in dist:
+                        dist[o] = df + 1
+                        queue.append(o)
     return (dict(zip(map(faces_.__getitem__, queue), dist.values())),
             np.array(sorted(set(reached)), dtype=np.int64))
 
@@ -214,7 +215,7 @@ def connection_counts(n: int, d: int, k: int,
         raise ValueError("too many (d-1)-simplices for 32-bit frontiers")
 
     # face-mask of each d-simplex
-    franks = face_rank_array(unrank_colex_array(np.arange(nd), d, n), n)
+    franks = face_rank_array(np.arange(nd), d, n)
     face_masks = np.bitwise_or.reduce(
         np.left_shift(np.uint32(1), franks.astype(np.uint32)), axis=1)
 

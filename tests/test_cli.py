@@ -282,6 +282,15 @@ CONFIG = {"n": 20, "d": 1, "p": 0.1, "stat": "isolated", "replicas": 4,
           "seed": 1}
 
 
+@pytest.mark.parametrize("mode", ["variance", "bogus"])
+def test_config_mode_field_is_refused(tmp_path, capsys, mode):
+    # the field selected nothing: a valid name ran the CLT all the same
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**CONFIG, "mode": mode}))
+    _fails_once(["clt", "--config", str(path)], capsys, 1,
+                "unknown fields: mode")
+
+
 @pytest.mark.parametrize("field, value", [
     ("n", 20.7), ("replicas", True), ("n", "x"), ("d", 1.5),
     ("seed", None), ("replicas", [4]), ("seed", float("inf"))])

@@ -2,6 +2,7 @@ import json
 import math
 import platform
 import re
+import resource
 import statistics as pystats
 import sys
 import tempfile
@@ -122,6 +123,9 @@ def test_csv_round_trip(tmp_path):
     assert meta["replicas_per_s"] == config.replicas / summary.wall_time
     assert meta["python"] == platform.python_version()
     assert meta["numpy"] == np.__version__
+    # the peak only grows, and holds numpy; ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 10 < meta["peak_rss_mb"] <= peak_mb
     assert meta["version"] == "0.1.0"
 
 

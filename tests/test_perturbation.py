@@ -405,6 +405,18 @@ def test_add_one_costs_refuse_a_bad_weight_as_x_plus_tau_does(w, message):
             assert str(err.value) == message
 
 
+def test_add_one_cost_refuses_a_rank_out_of_range_as_x_plus_tau_does():
+    params = ModelParams(7, 2, 0.5, WeightDistribution("exponential", 1.0))
+    f = make_statistic("isolated", params)
+    X = sample_complex(params, 3)
+    for tau in (-1, math.comb(7, 3)):
+        for run in (lambda: X.with_simplex(tau, 1.0),
+                    lambda: add_one_cost(f, X, tau, 1.0)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == "rank out of range for k=2, n=7"
+
+
 @pytest.mark.parametrize("spec", BUILTIN_SPECS)
 def test_differences_never_toggle_the_full_complex(spec, monkeypatch):
     # neither X + tau, X - tau nor X^{F + tau} may be built: each

@@ -2,16 +2,17 @@
 index and the sample-level statistic evaluators against the scalar,
 table-based and complex-based references they replaced."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rwcomplex import rng
-from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
-                                sample_complex)
-from rwcomplex.simplices import (FaceIndex, WeightedComplex, _cofacet_plan,
-                                 cofacet_minima, degree, face_rank_array,
+from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
+                                WeightDistribution, sample_complex)
+from rwcomplex.simplices import (FaceIndex, WeightedComplex, _binomials,
+                                 _cofacet_plan, cofacet_minima, degree, face_rank_array,
                                  faces, rank_colex, simplex_table,
                                  unrank_colex, unrank_colex_array)
 from rwcomplex.statistics import (LocalComplex, LocalFunctional,
@@ -62,9 +63,38 @@ def test_array_unrank_and_face_ranks_match_scalar(case):
     assert [tuple(v) for v in verts.tolist()] == \
         [unrank_colex(r, k, n) for r in ranks]
     if k >= 1:
-        franks = face_rank_array(verts, n).tolist()
+        franks = face_rank_array(ranks, k, n).tolist()
         assert franks == [[rank_colex(f) for f in faces(unrank_colex(r, k, n))]
                           for r in ranks]
+
+
+def vertex_face_rank_array(verts, n):
+    """Face ranks from a vertex matrix, as face_rank_array built them before
+    it unranked its own ranks: column i deletes vertex i."""
+    verts = np.asarray(verts, dtype=np.int64)
+    m, k1 = verts.shape
+    B = _binomials(n, k1 - 1)
+    cols = np.arange(k1)
+    ca = np.cumsum(B[cols + 1, verts], axis=1)   # C(v_j, j+1)
+    cb = np.cumsum(B[cols, verts], axis=1)       # C(v_j, j)
+    prefix = np.hstack([np.zeros((m, 1), dtype=np.int64), ca[:, :-1]])
+    return prefix + (cb[:, -1:] - cb)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(0, 11), st.data())
+def test_face_ranks_from_ranks_match_the_vertex_reference(d, extra, data):
+    n = d + 1 + extra
+    ranks = data.draw(st.lists(st.integers(0, math.comb(n, d + 1) - 1),
+                               max_size=20))
+    for r in (ranks, np.array(ranks, dtype=np.int64)):
+        assert_same_array(face_rank_array(r, d, n), vertex_face_rank_array(
+            unrank_colex_array(ranks, d, n), n))
 
 
 def test_array_routines_where_binomials_pass_int64():
@@ -74,8 +104,13 @@ def test_array_routines_where_binomials_pass_int64():
     scalar = [unrank_colex(r, 60, 70) for r in ranks]
     verts = unrank_colex_array(ranks, 60, 70)
     assert [tuple(v) for v in verts.tolist()] == scalar
-    assert face_rank_array(verts, 70).tolist() == \
+    assert face_rank_array(ranks, 60, 70).tolist() == \
         [[rank_colex(f) for f in faces(tau)] for tau in scalar]
+    assert_same_array(face_rank_array(ranks, 60, 70),
+                      vertex_face_rank_array(verts, 70))
+    empty = np.empty(0, dtype=np.int64)
+    assert_same_array(face_rank_array(empty, 60, 70), vertex_face_rank_array(
+        unrank_colex_array(empty, 60, 70), 70))
 
 
 @SETTINGS
@@ -404,3 +439,72 @@ def test_sample_value_matches_evaluate_of_the_complex(spec, n, d, p, seed):
             stat.sample_value(s)
         return
     assert stat.sample_value(s) == want
+
+
+# ---------------------------------------------------------------------------
+# the sampler's forced bits and constant weights against the code they
+# replaced
+
+def union_resampled(s, F):
+    """X^F as resampled built it when it applied each forced bit with
+    union1d or setdiff1d."""
+    nd = math.comb(s.params.n, s.params.d + 1)
+    fset = np.unique(np.asarray(list(F), dtype=np.int64))
+    present = rng.ranks_below(s._key(rng.TAG_B), nd, s.params.p)
+    for r, v in (s.forced.b if s.forced else {}).items():
+        if 0 <= r < nd:
+            present = np.union1d(present, [r]) if v \
+                else np.setdiff1d(present, [r])
+    if fset.size:
+        present = np.union1d(np.setdiff1d(present, fset),
+                             fset[s.presence(fset, primed=True)])
+    on_f = np.isin(present, fset)
+    w = np.empty(present.size)
+    w[~on_f] = s.weight_values(present[~on_f])
+    w[on_f] = s.weight_values(present[on_f], primed=True)
+    return present, w
+
+
+@SETTINGS
+@given(st.integers(1, 2), st.integers(0, 6),
+       st.sampled_from([0.2, 0.6, 1.0]), st.integers(0, 2 ** 64 - 1),
+       st.data())
+def test_forced_bits_by_insertion_match_the_union_reference(d, extra, p,
+                                                            seed, data):
+    # bits forced on and off at present and absent ranks, and out of range
+    n = d + 2 + extra
+    params = ModelParams(n, d, p, WeightDistribution("exponential", 2.0))
+    nd = params.num_d_simplices
+    present = PairedSample(params, seed).complex().present.tolist()
+    rank = st.integers(-3, nd + 3)
+    if present:
+        rank = st.one_of(st.sampled_from(present), rank)
+    s = PairedSample(params, seed, ForcedBits(b=data.draw(
+        st.dictionaries(rank, st.integers(0, 1), max_size=6))))
+    for F in ([], data.draw(st.lists(st.integers(0, nd - 1), min_size=1,
+                                     max_size=3))):
+        X = s.resampled(F)
+        want, w = union_resampled(s, F)
+        assert_same_array(X.present, want)
+        assert_same_array(X.weights, w)
+
+
+@SETTINGS
+@given(st.floats(0.0, 1e6), st.booleans(), st.integers(0, 2 ** 64 - 1),
+       st.one_of(st.integers(0, 1 << 40),
+                 st.integers(0, 1 << 40).map(np.int64),
+                 st.lists(st.integers(0, 1 << 40), max_size=6),
+                 st.lists(st.integers(0, 1 << 40), max_size=6).map(
+                     lambda r: np.array(r, dtype=np.int64))))
+@example(1.0, False, 0, np.empty(0, dtype=np.int64))
+@example(2.5, True, 1, 7)
+def test_constant_weights_draw_nothing_and_match_the_uniforms(
+        value, primed, seed, ranks):
+    params = ModelParams(50, 3, 0.5, WeightDistribution("constant", value))
+    s = PairedSample(params, seed)
+    tag = rng.TAG_WP if primed else rng.TAG_W
+    want = params.dist.inverse_cdf(rng.uniforms(s._key(tag), ranks))
+    with mock.patch.object(rng, "uniforms", side_effect=AssertionError):
+        got = s.weight_values(ranks, primed=primed)
+    assert type(got) is type(want)
+    assert_same_array(np.asarray(got), np.asarray(want))

@@ -161,12 +161,12 @@ def test_bfs_equals_distinct_path_metric():
 def test_face_index_built_once_per_complex(monkeypatch):
     import rwcomplex.simplices as simplices
     calls = []
-    unrank = simplices.unrank_colex_array
+    face_ranks = simplices.face_rank_array
 
     def counted(*args):
         calls.append(args)
-        return unrank(*args)
-    monkeypatch.setattr(simplices, "unrank_colex_array", counted)
+        return face_ranks(*args)
+    monkeypatch.setattr(simplices, "face_rank_array", counted)
     builds = []
     build = simplices.FaceIndex
 
@@ -195,12 +195,12 @@ def test_derived_complexes_reuse_the_face_index(monkeypatch):
     empty = WeightedComplex(7, 2, np.array([], dtype=np.int64), np.array([]))
     X.face_rows, empty.face_rows
     calls = []
-    unrank = simplices.unrank_colex_array
+    face_ranks = simplices.face_rank_array
 
     def counted(ranks, k, n):
         calls.append(len(ranks))
-        return unrank(ranks, k, n)
-    monkeypatch.setattr(simplices, "unrank_colex_array", counted)
+        return face_ranks(ranks, k, n)
+    monkeypatch.setattr(simplices, "face_rank_array", counted)
     absent = next(r for r in range(35) if not X.has(r))
     tau = unrank_colex(int(X.present[0]), 2, 7)
     lab = components(X)

@@ -60,7 +60,7 @@ class ExperimentConfig:
     statistic: str
     replicas: int
     seed: int
-    workers: int = 1    # selects nothing; goes with `mode` (ROADMAP item 4)
+    workers: int = 1    # selects nothing; goes with `mode` (ROADMAP item 2)
     outputs: Optional[str] = None
     mode: str = "clt"   # selects nothing; the config file cannot set it
 

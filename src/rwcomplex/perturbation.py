@@ -217,16 +217,6 @@ def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
         conditioning="%s; b at tau'=%s forced to %d" % (op, tau_prime, i))
 
 
-def _local_randomized_derivative(f: Statistic, s: PairedSample,
-                                 F: Sequence[int], tau_rank: int,
-                                 k: int) -> float:
-    """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}), both
-    from one walk of X^F as in local_add_one_cost."""
-    tau_verts = unrank_colex(tau_rank, s.params.d, s.params.n)
-    XF, a, b = _resampled_states(s, [int(r) for r in F], tau_rank)
-    return _ball_change(f, XF, tau_rank, tau_verts, a, b, k)
-
-
 def estimate_gamma(params: ModelParams, k: int, replicas: int,
                    seed: int) -> StabilizationEstimate:
     """Bernoulli Monte Carlo of the <=k-path connection probability of the

@@ -172,10 +172,13 @@ class PairedSample:
 
     def all_weights(self) -> np.ndarray:
         """Weights w at every rank 0..C(n, d+1)-1, in rank order, built
-        over the uniforms: one array of C(n, d+1) values."""
-        return self.params.dist._inverse_cdf_over(rng.uniform_range(
-            self._key(rng.TAG_W),
-            d_simplex_count(self.params.n, self.params.d)))
+        over the uniforms: one array of C(n, d+1) values.  The constant
+        law draws none, as in weight_values."""
+        dist = self.params.dist
+        count = d_simplex_count(self.params.n, self.params.d)
+        return dist._inverse_cdf_over(
+            np.zeros(count) if dist.kind == "constant"
+            else rng.uniform_range(self._key(rng.TAG_W), count))
 
     def complex(self) -> WeightedComplex:
         """The primary complex X."""

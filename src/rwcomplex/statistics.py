@@ -1,14 +1,14 @@
 """Statistics on weighted d-complexes and their Lipschitz descriptors.
 
 Built-ins: total nearest face-weight (complete complexes), its alpha-capped
-variant, isolated-simplex count, M-bounded cocycle count and Betti number,
-and generic local statistics sum_sigma g((X, sigma)_M) for a user-supplied
-isomorphism-invariant g.
+variant, isolated-simplex count, M-bounded cocycle count, Betti number and
+cocycle ratio, all sums over faces or strong components, and the generic
+local statistic sum_sigma g((X, sigma)_M) of a user-built g, face by face.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -175,21 +175,6 @@ class LocalFunctional:
             raise ValueError("M must be >= 1")
 
 
-def g_no_top_simplex(local: LocalComplex) -> float:
-    """Indicator that the complex has no d-simplex."""
-    return 1.0 if not local.top else 0.0
-
-
-def make_cocycle_ratio(M: int) -> Callable[[LocalComplex], float]:
-    """dim Z^{d-1} / f_{d-1}, gated to 0 < f_{d-1} <= M."""
-    def g(local: LocalComplex) -> float:
-        nl = local.num_lower
-        if not 0 < nl <= M:
-            return 0.0
-        return local.cocycle_dimension() / nl
-    return g
-
-
 def local_statistic_terms(X: WeightedComplex,
                           lf: LocalFunctional) -> List[float]:
     """g((X, sigma)_M) for every (d-1)-simplex sigma of the full skeleton.
@@ -224,29 +209,45 @@ def local_statistic_near(X: WeightedComplex, tau_rank: int,
 
 
 # ---------------------------------------------------------------------------
-# M-bounded cocycle count and Betti number
+# M-bounded cocycle count, Betti number and cocycle ratio
+
+def _small_components(X: WeightedComplex,
+                      M: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(f, z) of each strong component C of X with at most M faces:
+    f = f_{d-1}(C) and z = dim Z^{d-1}(C) = f - f_d(C) + dim ker(boundary
+    on C).  A d-cycle is zero on every simplex with a face of degree 1, so
+    peeling such simplices leaves the kernel alone: |core| - rank(core)."""
+    rows, cid = X.face_index.rows, component_labels(X)
+    f = np.bincount(cid)
+    top = cid[rows[:, 0]]
+    small = f <= M
+    on = np.flatnonzero(small[top])
+    # every component has a simplex, so both bincounts have f.size entries
+    z = f - np.bincount(top) + _kernel_dims(rows[on], top[on], f.size)
+    return f[small], z[small]
+
 
 def cocycle_count_bounded(X: WeightedComplex, M: int) -> int:
     """Sum of dim Z^{d-1}(C) over strongly connected components C with
-    f_{d-1}(C) <= M; singleton components contribute 1 each.
-
-    dim Z^{d-1}(C) = f_{d-1}(C) - f_d(C) + dim ker(boundary on C), and a
-    d-cycle is zero on every simplex with a face of degree 1, so peeling
-    such simplices leaves the kernel alone: it is |core| - rank(core).
-    """
+    f_{d-1}(C) <= M; singleton components contribute 1 each."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    rows, cid = X.face_index.rows, component_labels(X)
-    small = np.bincount(cid) <= M
-    core = np.flatnonzero(small[cid[rows[:, 0]]])
-    return int(isolated_count(X) + small[cid].sum() - core.size
-               + _kernel_dim(rows[core], cid[rows[core, 0]]))
+    return int(isolated_count(X) + _small_components(X, M)[1].sum())
 
 
-def _kernel_dim(rows: np.ndarray, comp: np.ndarray) -> int:
-    """dim ker of the boundary map on the d-simplices with face rows
-    `rows`: |core| - rank(core) per component `comp`, the core being what
-    peeling simplices with a face of degree 1 leaves."""
+def cocycle_ratio_total(X: WeightedComplex, M: int) -> float:
+    """local:cocycle-ratio:<M>.  The M-ball of a face is its strong
+    component C if C has at most M faces, and has more than M otherwise, so
+    C adds f copies of z / f and an uncovered face 1, in one fsum: a second
+    rounding would change the bytes of the per-face sum."""
+    f, z = _small_components(X, M)
+    return math.fsum(np.repeat(z / f, f).tolist() + [1.0] * isolated_count(X))
+
+
+def _kernel_dims(rows: np.ndarray, comp: np.ndarray, k: int) -> np.ndarray:
+    """dim ker of the boundary map on the d-simplices with face rows `rows`
+    in each of the k components `comp`: |core| - rank(core), the core being
+    what peeling simplices with a face of degree 1 leaves."""
     core = np.arange(rows.shape[0])
     while core.size:
         deg = np.bincount(rows[core].ravel())
@@ -254,25 +255,24 @@ def _kernel_dim(rows: np.ndarray, comp: np.ndarray) -> int:
         if keep.all():
             break
         core = core[keep]
-    total = 0
-    for c in np.unique(comp[core]):
+    out = np.zeros(k, dtype=np.int64)
+    for c in np.unique(comp[core]).tolist():
         part = rows[core[comp[core] == c]]
-        total += part.shape[0] - rank_pm1(
+        out[c] = part.shape[0] - rank_pm1(
             coboundary_rows(part.tolist(), np.unique(part).tolist()))
-    return total
+    return out
 
 
 def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
-                 M: int) -> List[int]:
-    """The cocycle count's part from the strong components holding tau's
-    faces, tau present iff w is not None: each component of X - tau is
-    walked from a face of tau and dropped past M faces (it then adds 0);
-    with tau present they merge into one."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
+                 M: int) -> List[Tuple[int, int]]:
+    """(f, z) as in _small_components of the strong components holding
+    tau's faces, tau present iff w is not None: each component of X - tau
+    is walked from a face of tau and dropped past M faces, and a face X
+    leaves uncovered is (1, 1); with tau present they merge into one,
+    dropped too past M faces."""
     pos, ranks, ids = _site(X, tau_rank)
     _, ptr, simp, row_ids = X.face_index.lists
-    k1, seen, comps = X.d + 1, set(), []
+    k1, seen, comps = X.d + 1, set(), [(1, [])] * ids.count(-1)
     for j in ids:
         if j < 0 or j in seen:
             continue
@@ -288,18 +288,20 @@ def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
                     fs += new
         seen |= got
         comps.append((len(fs), sorted(on)) if len(fs) <= M else None)
-    nf = ids.count(-1)                  # faces X leaves uncovered: 1 each
     if w is None:
         comps = [c for c in comps if c]
-    elif None in comps or nf + sum(c[0] for c in comps) > M:
-        return [0]
-    nf += sum(c[0] for c in comps)
-    rows = X.face_rows[[p for c in comps for p in c[1]]]
-    if w is not None:
-        rows = np.vstack([rows, [ranks]])
-    # ranks add up over components; a d-cycle needs d + 2 simplices
-    return [nf - len(rows) + (_kernel_dim(rows, np.zeros(len(rows), int))
-                              if len(rows) > k1 else 0)]
+    elif None in comps or sum(c[0] for c in comps) > M:
+        return []
+    else:                               # tau, in the last row, joins them
+        comps = [(sum(c[0] for c in comps),
+                  [p for c in comps for p in c[1]] + [X.num_present])]
+    tops = [len(c[1]) for c in comps]
+    ker = [0] * len(tops)
+    if sum(tops) > k1:                  # a d-cycle needs d + 2 simplices
+        rows = np.vstack([X.face_rows, [ranks]])
+        ker = _kernel_dims(rows[[p for c in comps for p in c[1]]], np.repeat(
+            np.arange(len(tops)), tops), len(tops)).tolist()
+    return [(f, f - t + c) for (f, _), t, c in zip(comps, tops, ker)]
 
 
 def betti_bounded(X: WeightedComplex, M: int) -> int:
@@ -356,12 +358,6 @@ class Statistic:
         return self.evaluate(s.complex())
 
 
-BUILTIN_LOCAL_G = {
-    "isolated": lambda M: g_no_top_simplex,
-    "cocycle-ratio": make_cocycle_ratio,
-}
-
-
 def make_statistic(spec: str, params: ModelParams) -> Statistic:
     """Parse a statistic selection string.
 
@@ -384,19 +380,26 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
         return Statistic("isolated", lambda X: float(isolated_count(X)),
                          float(d + 1), near=lambda X, t, w: [
                              f_alpha_near(X, t, w, math.inf).count(math.inf)])
-    if head in ("cocycle", "betti") and len(parts) == 2:
-        # the two differ by a constant, so they share their near terms
-        M = int(parts[1])
-        fn = cocycle_count_bounded if head == "cocycle" else betti_bounded
-        return Statistic(spec, lambda X: float(fn(X, M)), float((d + 1) * M),
-                         near=lambda X, t, w: cocycle_near(X, t, w, M))
-    if head == "local" and len(parts) == 3:
-        gname, M = parts[1], int(parts[2])
-        if gname not in BUILTIN_LOCAL_G:
-            raise ValueError("unknown builtin g %r" % gname)
-        lf = LocalFunctional(gname, BUILTIN_LOCAL_G[gname](M), M)
-        return Statistic(spec, lambda X: local_statistic(X, lf),
-                         float((d + 1) * M),
-                         near=lambda X, t, w: local_statistic_near(X, t, w,
-                                                                   lf))
+    if head in ("cocycle", "betti", "local") and \
+            len(parts) == (3 if head == "local" else 2):
+        M = int(parts[-1])
+        if M < 1:
+            raise ValueError("M must be >= 1")
+        H = float((d + 1) * M)
+        if head != "local":
+            # the two differ by a constant, so they share their near terms
+            fn = cocycle_count_bounded if head == "cocycle" else betti_bounded
+            return Statistic(spec, lambda X: float(fn(X, M)), H,
+                             near=lambda X, t, w: [
+                                 sum(z for _, z in cocycle_near(X, t, w, M))])
+        if parts[1] == "isolated":
+            # the M-ball of a covered face holds a d-simplex, so g is 0 there
+            return replace(make_statistic("isolated", params), name=spec,
+                           lipschitz_H=H)
+        if parts[1] == "cocycle-ratio":
+            return Statistic(spec, lambda X: cocycle_ratio_total(X, M), H,
+                             near=lambda X, t, w: [
+                                 z / f for f, z in cocycle_near(X, t, w, M)
+                                 for _ in range(f)])
+        raise ValueError("unknown builtin g %r" % parts[1])
     raise ValueError("cannot parse statistic %r" % spec)

@@ -9,6 +9,7 @@ import pytest
 
 from rwcomplex.cli import (UsageError, build_parser, main, parse_config,
                            parse_weights)
+from rwcomplex.harness import ExperimentConfig
 from rwcomplex.sampling import ModelParams, WeightDistribution, sample_complex
 from rwcomplex.simplices import read_complex
 from rwcomplex.statistics import make_statistic
@@ -276,6 +277,19 @@ def test_workers_flag_and_field_are_refused(tmp_path, capsys):
     _fails_once(run + ["--workers", "2"], capsys, 1, "--workers")
     _fails_once(run + ["--config", str(config)], capsys, 1,
                 "unknown fields: workers")
+
+
+@pytest.mark.parametrize("spec", ["cocycle:0", "betti:-1", "local:isolated:0",
+                                  "local:cocycle-ratio:0"])
+def test_bound_below_one_is_refused_when_parsed(tmp_path, capsys, spec):
+    # refused with the statistic, not in the first replica
+    params = ModelParams(15, 1, 0.3, WeightDistribution("constant", 1.0))
+    with pytest.raises(ValueError, match="^M must be >= 1$"):
+        ExperimentConfig(params=params, statistic=spec, replicas=4, seed=2)
+    _fails_once(["clt", "--n", "15", "--d", "1", "--p", "0.3", "--stat",
+                 spec, "--replicas", "4", "--seed", "2", "--out",
+                 str(tmp_path / "out")], capsys, 2, "M must be >= 1")
+    assert not (tmp_path / "out").exists()
 
 
 CONFIG = {"n": 20, "d": 1, "p": 0.1, "stat": "isolated", "replicas": 4,

@@ -267,6 +267,27 @@ def test_nn_replicas_never_build_the_simplex_table(monkeypatch):
     assert s.mean == float(np.sum(np.array(want)) / 4)
 
 
+@pytest.mark.parametrize("spec", ["local:isolated:1", "local:isolated:4",
+                                  "local:cocycle-ratio:1",
+                                  "local:cocycle-ratio:3",
+                                  "local:cocycle-ratio:6"])
+def test_builtin_local_statistics_never_walk_m_balls(spec, monkeypatch):
+    # the built-in g are sums over strong components; only a user-built g
+    # takes the per-face M-ball path
+    from rwcomplex import statistics, topology
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-face M-ball path taken")
+    for mod, name in ((statistics, "local_statistic_terms"),
+                      (statistics, "_localize"), (statistics, "_m_ball"),
+                      (topology, "_m_ball")):
+        monkeypatch.setattr(mod, name, refuse)
+    params = ModelParams(16, 2, 2.5 / 16,
+                         WeightDistribution("exponential", 1.0))
+    run_clt(_config(params=params, statistic=spec, replicas=4))
+    run_stabilization(_config(params=params, statistic=spec, replicas=3), 3)
+
+
 def test_nan_replica_is_reported_at_the_replica(monkeypatch, capsys):
     params = ModelParams(12, 2, 0.2, WeightDistribution("constant", 1.0))
 

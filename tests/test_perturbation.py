@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwcomplex import rng
-from rwcomplex.perturbation import (_local_randomized_derivative,
+from rwcomplex.perturbation import (_ball_change, _resampled_states,
                                     add_one_cost, canonical_tau_pair,
                                     estimate_addone_mean,
                                     estimate_delta_tilde, estimate_gamma,
@@ -18,12 +18,14 @@ from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, sample_complex)
 from rwcomplex.simplices import (WeightedComplex, faces, rank_colex,
                                  unrank_colex)
-from rwcomplex.statistics import (BUILTIN_LOCAL_G, LocalFunctional,
+from rwcomplex.statistics import (LocalFunctional,
                                   Statistic, f_alpha_faces, local_statistic,
                                   local_statistic_near,
                                   local_statistic_terms, make_statistic,
                                   nn_terms)
 from rwcomplex.topology import ball_k
+
+from test_statistics import REFERENCE_LOCAL_G, reference_local_statistic
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +33,7 @@ from rwcomplex.topology import ball_k
 
 # an ungated, nonlinear g: unlike the built-in ones, it tells an M-ball cut
 # short at the edge of tau's neighbourhood from the whole ball
-TEST_LOCAL_G = {**BUILTIN_LOCAL_G,
+TEST_LOCAL_G = {**REFERENCE_LOCAL_G,
                 "num-lower": lambda M: lambda local: local.num_lower ** 2.0}
 
 
@@ -87,6 +89,16 @@ def ref_randomized_derivative(f, s, F, tau_rank):
     if tau_rank in F:
         raise ValueError("tau must not lie in F")
     return full_difference(f, s.resampled(F), s.resampled(F + [tau_rank]))
+
+
+def local_randomized_derivative(f, s, F, tau_rank, k):
+    """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}) the way
+    estimate_delta_tilde(randomized=True) computes it: both balls from one
+    walk of X^F."""
+    XF, a, b = _resampled_states(s, F, tau_rank)
+    return _ball_change(f, XF, tau_rank,
+                        unrank_colex(tau_rank, s.params.d, s.params.n), a, b,
+                        k)
 
 
 def ref_local_randomized_derivative(f, s, F, tau_rank, k):
@@ -385,7 +397,7 @@ def test_differences_match_the_two_complex_reference(spec, d, data):
         _outcome(ref_local_add_one_cost, f, X, tau, w, k)
     assert _outcome(randomized_derivative, f, s, F, tau) == \
         _outcome(ref_randomized_derivative, f, s, F, tau)
-    assert _outcome(_local_randomized_derivative, f, s, F, tau, k) == \
+    assert _outcome(local_randomized_derivative, f, s, F, tau, k) == \
         _outcome(ref_local_randomized_derivative, f, s, F, tau, k)
 
 
@@ -453,4 +465,39 @@ def test_differences_never_toggle_the_full_complex(spec, monkeypatch):
         local_add_one_cost(f, X, tau, 0.7, 50)
         randomized_derivative(f, s, [], tau)
         randomized_derivative(f, s, [3, 40], tau)
-        _local_randomized_derivative(f, s, [3], tau, 50)
+        local_randomized_derivative(f, s, [3], tau, 50)
+
+
+# ---------------------------------------------------------------------------
+# the built-in local statistics against the per-face reference
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@pytest.mark.parametrize("d", (1, 2, 3))
+@given(data=st.data())
+def test_builtin_local_statistics_match_the_per_face_reference(d, data):
+    # component sums against g on the M-ball of every face, lambda from
+    # sub- to supercritical (a giant component): the value's bytes, and D,
+    # Delta and their ball versions bit for bit, or the same error
+    gname = data.draw(st.sampled_from(("isolated", "cocycle-ratio")))
+    M = data.draw(st.sampled_from((1, 2, 3, 6)))
+    spec = "local:%s:%d" % (gname, M)
+    n = data.draw(st.integers(d + 2, (24, 13, 10)[d - 1]))
+    lam = data.draw(st.floats(0.2, 4.0))
+    params = ModelParams(n, d, min(1.0, lam / n),
+                         WeightDistribution("exponential", 1.0))
+    f, ref = make_statistic(spec, params), reference_local_statistic(spec,
+                                                                      params)
+    assert f.lipschitz_H == ref.lipschitz_H
+    nd = math.comb(n, d + 1)
+    tau = data.draw(st.integers(0, nd - 1))
+    s = PairedSample(params, data.draw(st.integers(0, 1 << 20)))
+    F = data.draw(st.lists(st.integers(0, nd - 1), max_size=3))
+    k = data.draw(st.sampled_from((0, 1, 2, 2 * M, 50)))
+    w = data.draw(st.floats(0.0, 3.0))
+    X = s.complex()
+    assert f.evaluate(X).hex() == ref.evaluate(X).hex()
+    for op, args in ((add_one_cost, (X, tau, w)),
+                     (local_add_one_cost, (X, tau, w, k)),
+                     (randomized_derivative, (s, F, tau)),
+                     (local_randomized_derivative, (s, F, tau, k))):
+        assert _outcome(op, f, *args) == _outcome(op, ref, *args), op

@@ -508,3 +508,19 @@ def test_constant_weights_draw_nothing_and_match_the_uniforms(
         got = s.weight_values(ranks, primed=primed)
     assert type(got) is type(want)
     assert_same_array(np.asarray(got), np.asarray(want))
+
+
+@SETTINGS
+@given(st.floats(0.0, 1e6), st.integers(1, 3), st.integers(0, 12),
+       st.integers(0, 2 ** 64 - 1))
+def test_constant_all_weights_draw_nothing_and_match_the_uniforms(
+        value, d, extra, seed):
+    # at p = 1 the primary complex reads the contiguous weight stream
+    params = ModelParams(d + 1 + extra, d, 1.0,
+                         WeightDistribution("constant", value))
+    s = PairedSample(params, seed)
+    want = params.dist.inverse_cdf(rng.uniform_range(
+        s._key(rng.TAG_W), params.num_d_simplices))
+    with mock.patch.object(rng, "uniform_range", side_effect=AssertionError):
+        assert_same_array(s.all_weights(), want)
+        assert_same_array(s.complex().weights, want)

@@ -8,12 +8,11 @@ from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
                                 exp_mean_n, sample_complex)
 from rwcomplex.simplices import (WeightedComplex, cofacet_ranks, cofacets,
                                  rank_colex, unrank_colex)
-from rwcomplex.statistics import (LocalComplex, betti_bounded,
+from rwcomplex.statistics import (LocalComplex, Statistic, betti_bounded,
                                   cocycle_count_bounded, f_alpha,
                                   f_alpha_faces, isolated_count,
-                                  local_statistic,
-                                  LocalFunctional, g_no_top_simplex,
-                                  make_cocycle_ratio, make_statistic,
+                                  local_statistic, local_statistic_near,
+                                  LocalFunctional, make_statistic,
                                   nn_terms, nn_total, nn_total_complex)
 from rwcomplex.topology import component_view
 
@@ -123,6 +122,39 @@ def test_isolated_count_brute_force():
 
 # ---------------------------------------------------------------------------
 # local statistics
+
+# The built-in local g, evaluated face by face on each M-ball: the
+# reference that local:isolated:<M> and local:cocycle-ratio:<M>, which sum
+# over strong components, are pinned to.
+
+def g_no_top_simplex(local: LocalComplex) -> float:
+    """Indicator that the complex has no d-simplex."""
+    return 1.0 if not local.top else 0.0
+
+
+def make_cocycle_ratio(M: int):
+    """dim Z^{d-1} / f_{d-1}, gated to 0 < f_{d-1} <= M."""
+    def g(local: LocalComplex) -> float:
+        nl = local.num_lower
+        if not 0 < nl <= M:
+            return 0.0
+        return local.cocycle_dimension() / nl
+    return g
+
+
+REFERENCE_LOCAL_G = {"isolated": lambda M: g_no_top_simplex,
+                     "cocycle-ratio": make_cocycle_ratio}
+
+
+def reference_local_statistic(spec: str, params: ModelParams) -> Statistic:
+    """local:<g>:<M> built from LocalFunctional, local_statistic and
+    local_statistic_near, the per-face path a user-built g takes."""
+    _, gname, M = spec.split(":")
+    lf = LocalFunctional(gname, REFERENCE_LOCAL_G[gname](int(M)), int(M))
+    return Statistic(spec, lambda X: local_statistic(X, lf),
+                     float((params.d + 1) * lf.M),
+                     near=lambda X, t, w: local_statistic_near(X, t, w, lf))
+
 
 def test_local_isolated_equals_isolated_count():
     lf = LocalFunctional("isolated", g_no_top_simplex, M=1)

@@ -22,7 +22,7 @@ from . import rng
 from .sampling import ForcedBits, ModelParams, PairedSample, sample_complex
 from .simplices import (WeightedComplex, _check_rank, _check_weights,
                         rank_colex, unrank_colex)
-from .statistics import Statistic
+from .statistics import Statistic, UncoveredFaceError
 from .topology import ball_k, canonical_disjoint_pair, connected_within
 
 
@@ -104,7 +104,12 @@ def _ball_change(f: Statistic, X: WeightedComplex, tau_rank: int,
     """_change on B_k(tau, X) in place of X: tau at weight a against b on
     the balls of the two states, both from one walk of X."""
     ball = ball_k(X, tau_verts, k)
-    return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
+    try:
+        return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
+    except UncoveredFaceError:
+        raise ValueError(
+            "nn undefined on B_k(tau, X) at k=%d: the ball leaves a face "
+            "uncovered; use a larger k or nn-alpha:<a>" % k) from None
 
 
 # ---------------------------------------------------------------------------

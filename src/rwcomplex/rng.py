@@ -4,7 +4,8 @@ Every draw is a pure function of (seed, stream tag, counter), so arbitrary
 slices of a stream can be materialized in any order, on any worker, and
 still agree bit for bit.  The generator is the SplitMix64 sequence: output
 at counter r is the SplitMix64 finalizer applied to key + (r+1)*GOLDEN;
-`ranks_below`, `bits_range` and `uniform_range` draw 0..count-1 in blocks.
+`ranks_below` and `uniform_range` draw 0..count-1 in blocks, and `_bits` the
+raw outputs at any window lo..hi-1 of counters.
 """
 from __future__ import annotations
 
@@ -82,14 +83,15 @@ def to_uniform(z: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)) * _INV_2_53
 
 
-def _blocks(key: int, count: int, out=None, last: bool = True):
-    """(lo, outputs at lo, lo+1, ...) per block: in out, else in one buffer."""
-    z, t = np.empty((2, min(count, BLOCK)), dtype=np.uint64)
-    for lo in range(0, count, BLOCK):
-        zb = z[:count - lo] if out is None else out[lo:lo + BLOCK]
-        base = np.uint64((key + _GOLDEN * (lo + 1)) & _MASK)
-        yield lo, _mix(np.add(_STEPS[:zb.size], base, out=zb), t[:zb.size],
-                       last)
+def _blocks(key: int, lo: int, hi: int, out=None, last: bool = True):
+    """(a, outputs at a, a+1, ...) per block of the counters lo..hi-1: in
+    out, aligned with lo, else in one buffer."""
+    z, t = np.empty((2, min(hi - lo, BLOCK)), dtype=np.uint64)
+    for a in range(lo, hi, BLOCK):
+        zb = z[:hi - a] if out is None else out[a - lo:a - lo + BLOCK]
+        base = np.uint64((key + _GOLDEN * (a + 1)) & _MASK)
+        yield a, _mix(np.add(_STEPS[:zb.size], base, out=zb), t[:zb.size],
+                      last)
 
 
 def ranks_below(key: int, count: int, p: float) -> np.ndarray:
@@ -102,17 +104,17 @@ def ranks_below(key: int, count: int, p: float) -> np.ndarray:
     limit = int(np.ceil(p * 2.0 ** 53)) << 11
     bound, limit = np.uint64(limit | (1 << 33) - 1), np.uint64(limit)
     parts = [np.empty(0, dtype=np.int64)]
-    for lo, z in _blocks(key, count, last=False):
+    for lo, z in _blocks(key, 0, count, last=False):
         cand = np.flatnonzero(z <= bound)
         y = z[cand]
         parts.append(lo + cand[(y ^ (y >> np.uint64(31))) < limit])
     return np.concatenate(parts)
 
 
-def bits_range(key: int, count: int) -> np.ndarray:
-    """The raw uint64 outputs at counters 0..count-1, mixed in place."""
-    out = np.empty(count, dtype=np.uint64)
-    for _ in _blocks(key, count, out):
+def _bits(key: int, lo: int, out: np.ndarray) -> np.ndarray:
+    """The raw uint64 outputs at counters lo, lo+1, ..., mixed in place in
+    the uint64 array out, which is returned."""
+    for _ in _blocks(key, lo, lo + out.size, out):
         pass
     return out
 
@@ -120,6 +122,6 @@ def bits_range(key: int, count: int) -> np.ndarray:
 def uniform_range(key: int, count: int) -> np.ndarray:
     """uniforms(key, np.arange(count)), drawn block by block."""
     out = np.empty(count)
-    for lo, z in _blocks(key, count):
+    for lo, z in _blocks(key, 0, count):
         out[lo:lo + z.size] = np.right_shift(z, np.uint64(11), out=z)
     return np.multiply(out, _INV_2_53, out=out)

@@ -165,11 +165,6 @@ class PairedSample:
         tag = rng.TAG_WP if primed else rng.TAG_W
         return dist.inverse_cdf(rng.uniforms(self._key(tag), ranks))
 
-    def weight_bits(self) -> np.ndarray:
-        """The raw uint64 outputs of the w stream at every rank, in order."""
-        return rng.bits_range(self._key(rng.TAG_W), d_simplex_count(
-            self.params.n, self.params.d))
-
     def all_weights(self) -> np.ndarray:
         """Weights w at every rank 0..C(n, d+1)-1, in rank order, built
         over the uniforms: one array of C(n, d+1) values.  The constant
@@ -202,12 +197,16 @@ class PairedSample:
                     present = np.insert(present, i, r) if v \
                         else np.delete(present, i)
         if fset.size:
-            present = np.union1d(np.setdiff1d(present, fset),
-                                 fset[self.presence(fset, primed=True)])
-            on_f = np.isin(present, fset)
-            w = np.empty(present.size)
-            w[~on_f] = self.weight_values(present[~on_f])
-            w[on_f] = self.weight_values(present[on_f], primed=True)
+            # F's ranks leave present, and those b' keeps go back in at
+            # their places less the F ranks removed before them
+            i = np.searchsorted(present, fset)
+            hit = np.searchsorted(present, fset, side="right") > i
+            present = np.delete(present, i[hit])
+            keep = self.presence(fset, primed=True)
+            at, on = (i - hit.cumsum() + hit)[keep], fset[keep]
+            w = np.insert(self.weight_values(present), at,
+                          self.weight_values(on, primed=True))
+            present = np.insert(present, at, on)
         elif present.size == nd:        # every rank: the contiguous stream
             w = self.all_weights()
         else:

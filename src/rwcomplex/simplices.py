@@ -21,6 +21,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from . import rng
+
 Simplex = Tuple[int, ...]
 
 
@@ -150,42 +152,74 @@ def face_rank_array(ranks, k: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _cofacet_plan(n: int, d: int) -> tuple:
-    """Read-only (faces, run starts, ranks) per gap i < d of the (d-1)-faces
-    s: x with s_{i-1} < x < s_i gives the cofacet of rank base_i(s) +
-    C(x, i+1).  Gap 0's runs are the ranks 0, 1, ... in order (ranks None)."""
+def _cofacet_chunks(n: int, d: int, target: int) -> tuple:
+    """The d-simplex ranks over n vertices in chunks of whole top-vertex
+    blocks, each about `target` ranks (a larger block alone), as read-only
+    (lo, hi, tops, gaps): the ranks lo..hi-1 of the top vertices c1..c2-1.
+    tops lists (C(c, d), C(c, d+1) - lo) per block c, whose ranks line up
+    with the faces [0, C(c, d)) (gap d).  gaps holds, per gap i < d,
+    (faces, run starts, chunk-local ranks) of the (d-1)-faces s of
+    ranks C(c1, d)..C(c2, d)-1: x with s_{i-1} < x < s_i gives the cofacet
+    of rank base_i(s) + C(x, i+1), whose top vertex s_{d-1} puts it in the
+    chunk.  Gap 0's runs are the chunk's ranks in order (ranks None)."""
     B = _binomials(n, d)
-    V = unrank_colex_array(np.arange(math.comb(n, d)), d - 1, n)
-    below = B[np.arange(1, d + 1), V]               # C(s_j, j+1)
-    above = B[np.arange(2, d + 2), V][:, ::-1].cumsum(axis=1)[:, ::-1]
-    base = below.cumsum(axis=1) - below + above     # base_i(s), column i
-    x0 = np.hstack([np.zeros((len(V), 1), dtype=np.int64), V[:, :-1] + 1])
-    plan = []
-    for i in range(d):
-        faces_ = np.flatnonzero(V[:, i] > x0[:, i])
-        size = V[faces_, i] - x0[faces_, i]
-        starts = size.cumsum() - size
-        x = np.repeat(x0[faces_, i] - starts, size) + np.arange(size.sum())
-        ranks = np.repeat(base[faces_, i], size) + B[i + 1, x]
-        for a in (faces_, starts, ranks):
-            a.setflags(write=False)
-        plan.append((faces_, starts, ranks if i else None))
-    return tuple(plan)
+    cuts, size = [0], 0
+    for c, m in enumerate(B[d, :n].tolist()):      # block c: C(c, d) ranks
+        if size and size + m > target:
+            cuts.append(c)
+            size = 0
+        size += m
+    cuts.append(n)
+    chunks = []
+    for c1, c2 in zip(cuts, cuts[1:]):
+        lo, hi = int(B[d + 1, c1]), int(B[d + 1, c2])
+        f1 = int(B[d, c1])
+        tops = [(m, r - lo) for m, r in zip(B[d, c1:c2].tolist(),
+                                              B[d + 1, c1:c2].tolist()) if m]
+        V = unrank_colex_array(np.arange(f1, B[d, c2]), d - 1, n)
+        below = B[np.arange(1, d + 1), V]           # C(s_j, j+1)
+        above = B[np.arange(2, d + 2), V][:, ::-1].cumsum(axis=1)[:, ::-1]
+        base = below.cumsum(axis=1) - below + above - lo   # base_i(s) - lo
+        x0 = np.hstack([np.zeros((len(V), 1), dtype=np.int64),
+                        V[:, :-1] + 1])
+        gaps = []
+        for i in range(d):
+            faces_ = np.flatnonzero(V[:, i] > x0[:, i])
+            runs = V[faces_, i] - x0[faces_, i]
+            starts = runs.cumsum() - runs
+            x = np.repeat(x0[faces_, i] - starts, runs) + np.arange(runs.sum())
+            ranks = np.repeat(base[faces_, i], runs) + B[i + 1, x]
+            faces_ += f1
+            for a in (faces_, starts, ranks):
+                a.setflags(write=False)
+            gaps.append((faces_, starts, ranks if i else None))
+        chunks.append((lo, hi, tuple(tops), tuple(gaps)))
+    return tuple(chunks)
 
 
-def cofacet_minima(w: np.ndarray, n: int, d: int) -> np.ndarray:
+def cofacet_minima(w, n: int, d: int) -> np.ndarray:
     """Minimum of w over the n-d cofacets of every (d-1)-simplex, in face
-    rank order and w's dtype; w holds one float64 or uint64 value per
-    d-simplex rank over n vertices."""
-    B = _binomials(n, d)
-    acc = np.full(math.comb(n, d), np.inf if w.dtype.kind == "f"
-                  else np.iinfo(w.dtype).max, dtype=w.dtype)
-    # gap d, top vertex c: block c of w lines up with the faces [0, C(c, d))
-    for m, lo in zip(B[d, d:n].tolist(), B[d + 1, d:n].tolist()):
-        np.minimum(acc[:m], w[lo:lo + m], out=acc[:m])
-    for faces_, starts, ranks in _cofacet_plan(n, d):
-        runs = np.minimum.reduceat(w if ranks is None else w[ranks], starts)
-        acc[faces_] = np.minimum(acc[faces_], runs)
+    rank order and w's dtype.  w holds one float64 or uint64 value per
+    d-simplex rank over n vertices, or is a function fill(lo, out) that
+    writes the uint64 values at ranks lo, lo+1, ... into out and returns
+    them: it is called once per chunk of about rng.BLOCK ranks, in rank
+    order, with one reused buffer."""
+    chunks = _cofacet_chunks(n, d, rng.BLOCK)
+    whole = isinstance(w, np.ndarray)
+    dtype = w.dtype if whole else np.dtype(np.uint64)
+    buf = None if whole else np.empty(max(hi - lo for lo, hi, _, _ in chunks),
+                                      dtype=dtype)
+    acc = np.full(math.comb(n, d), np.inf if dtype.kind == "f"
+                  else np.iinfo(dtype).max, dtype=dtype)
+    for lo, hi, tops, gaps in chunks:
+        wc = w[lo:hi] if whole else w(lo, buf[:hi - lo])
+        for m, a in tops:       # block c lines up with the faces [0, C(c, d))
+            head = acc[:m]
+            np.minimum(head, wc[a:a + m], out=head)
+        for faces_, starts, ranks in gaps:
+            runs = np.minimum.reduceat(wc if ranks is None else wc[ranks],
+                                       starts)
+            acc[faces_] = np.minimum(acc[faces_], runs, out=runs)
     return acc
 
 

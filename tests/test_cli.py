@@ -335,6 +335,31 @@ def test_stabilization_command(tmp_path):
     assert record["bound_add_one"] >= record["bound_corollary"] * 0  # present
 
 
+NN_STABILIZATION = ["stabilization", "--n", "12", "--d", "2", "--p", "1.0",
+                    "--replicas", "3", "--seed", "1"]
+
+
+def test_stabilization_nn_refuses_a_ball_that_leaves_a_face_uncovered(
+        tmp_path, capsys):
+    # B_1(tau, X) leaves faces of the complete complex uncovered, where nn
+    # has no value: one error line that says so and what to use instead
+    out = tmp_path / "stab.json"
+    _fails_once(NN_STABILIZATION + ["--stat", "nn", "--k", "1", "--out",
+                                    str(out)], capsys, 2,
+                "B_k(tau, X) at k=1", "leaves a face uncovered",
+                "use a larger k or nn-alpha:<a>")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stat, k", [("nn", "3"), ("nn-alpha:5", "1")])
+def test_stabilization_nn_runs_where_the_ball_covers_or_caps(tmp_path, stat,
+                                                              k):
+    out = tmp_path / "stab.json"
+    assert main(NN_STABILIZATION + ["--stat", stat, "--k", k, "--out",
+                                    str(out)]) == 0
+    assert json.loads(out.read_text())["k"] == int(k)
+
+
 def test_cov_nn_command(capsys):
     rc = main(["cov-nn", "--n", "30", "--d", "1", "--replicas", "200",
                "--inner", "16", "--seed", "9"])

@@ -18,8 +18,9 @@ from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, sample_complex)
 from rwcomplex.simplices import (WeightedComplex, faces, rank_colex,
                                  unrank_colex)
-from rwcomplex.statistics import (LocalFunctional,
-                                  Statistic, f_alpha_faces, local_statistic,
+from rwcomplex.statistics import (LocalFunctional, Statistic,
+                                  UncoveredFaceError, f_alpha_faces,
+                                  local_statistic,
                                   local_statistic_near,
                                   local_statistic_terms, make_statistic,
                                   nn_terms)
@@ -78,11 +79,22 @@ def ref_add_one_cost(f, X, tau_rank, w):
                            X.without_simplex(tau_rank))
 
 
+def ball_difference(f, X_plus, X_minus, verts, k):
+    """full_difference on the two k-balls around verts; nn on a ball that
+    leaves a face uncovered is refused with the ball's own error."""
+    try:
+        return full_difference(f, ball_k(X_plus, verts, k),
+                               ball_k(X_minus, verts, k))
+    except UncoveredFaceError:
+        raise ValueError("nn undefined on B_k(tau, X) at k=%d: the ball "
+                         "leaves a face uncovered; use a larger k or "
+                         "nn-alpha:<a>" % k)
+
+
 def ref_local_add_one_cost(f, X, tau_rank, w, k):
-    verts = unrank_colex(tau_rank, X.d, X.n)
-    return full_difference(
-        f, ball_k(X.with_simplex(tau_rank, w), verts, k),
-        ball_k(X.without_simplex(tau_rank), verts, k))
+    return ball_difference(f, X.with_simplex(tau_rank, w),
+                           X.without_simplex(tau_rank),
+                           unrank_colex(tau_rank, X.d, X.n), k)
 
 
 def ref_randomized_derivative(f, s, F, tau_rank):
@@ -102,10 +114,8 @@ def local_randomized_derivative(f, s, F, tau_rank, k):
 
 
 def ref_local_randomized_derivative(f, s, F, tau_rank, k):
-    verts = unrank_colex(tau_rank, s.params.d, s.params.n)
-    return full_difference(
-        f, ball_k(s.resampled(F), verts, k),
-        ball_k(s.resampled(F + [tau_rank]), verts, k))
+    return ball_difference(f, s.resampled(F), s.resampled(F + [tau_rank]),
+                           unrank_colex(tau_rank, s.params.d, s.params.n), k)
 
 
 def _params(n=8, d=2, p=0.25, mean=2.0):

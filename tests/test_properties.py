@@ -12,7 +12,8 @@ from rwcomplex import rng
 from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, sample_complex)
 from rwcomplex.simplices import (FaceIndex, WeightedComplex, _binomials,
-                                 _cofacet_plan, cofacet_minima, degree, face_rank_array,
+                                 _cofacet_chunks, cofacet_minima, degree,
+                                 face_rank_array,
                                  faces, rank_colex, simplex_table,
                                  unrank_colex, unrank_colex_array)
 from rwcomplex.statistics import (LocalComplex, LocalFunctional,
@@ -369,9 +370,13 @@ def test_cofacet_minima_match_the_table_gather(data, d, ties, raw):
     # byte-identical to the gather over the table's cofacet ranks, for float
     # weights and for raw uint64 stream outputs; values from a small set
     # make ties the common case, and the uint64 ends 0 and 2^64 - 1 (the
-    # start of the running minimum) are among them
+    # start of the running minimum) are among them.  A chunk target at or
+    # below the largest block C(n-1, d) makes chunks of one block, of many
+    # blocks, and single blocks larger than the target.
     n = data.draw(st.integers(d + 1, d + 9))
     nd = math.comb(n, d + 1)
+    target = data.draw(st.one_of(st.just(rng.BLOCK),
+                                 st.integers(1, math.comb(n - 1, d) + 1)))
     if raw:
         top = 2 ** 64 - 1
         values = st.sampled_from([0, 1, top - 1, top]) if ties \
@@ -382,14 +387,37 @@ def test_cofacet_minima_match_the_table_gather(data, d, ties, raw):
     w = np.array(data.draw(st.lists(values, min_size=nd, max_size=nd)),
                  dtype=np.uint64 if raw else np.float64)
     want = w[simplex_table(n, d).cofacet_ranks].min(axis=1)
-    got = cofacet_minima(w, n, d)
-    assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
-    if raw:     # faces whose cofacets all hold 2^64 - 1 keep it
-        w[:] = top
-        assert set(cofacet_minima(w, n, d).tolist()) == {top}
-    for arrays in _cofacet_plan(n, d):
-        for a in arrays:
-            assert a is None or not a.flags.writeable
+    calls, buffers = [], set()
+
+    def fill(lo, out):      # raw values into the one buffer, as nn draws
+        calls.append((lo, lo + out.size))
+        buffers.add(out.base.ctypes.data)
+        out[:] = w[lo:lo + out.size]
+        return out
+
+    with mock.patch.object(rng, "BLOCK", target):
+        got = cofacet_minima(w, n, d)
+        assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
+        if raw:
+            assert cofacet_minima(fill, n, d).tobytes() == want.tobytes()
+            w[:] = top      # faces whose cofacets all hold 2^64 - 1 keep it
+            assert set(cofacet_minima(w, n, d).tolist()) == {top}
+        chunks = _cofacet_chunks(n, d, target)
+    # fill is called once per chunk, in one buffer; the chunks tile the
+    # ranks in order, each whole top-vertex blocks of at most the target,
+    # or one larger block
+    windows = [(lo, hi) for lo, hi, _, _ in chunks]
+    assert not raw or (calls == windows and len(buffers) == 1)
+    edges = [0] + [hi for _, hi in windows]
+    assert edges[-1] == nd and windows == list(zip(edges, edges[1:]))
+    starts = {math.comb(c, d + 1) for c in range(n + 1)}
+    for lo, hi in windows:
+        assert {lo, hi} <= starts and hi > lo
+        assert hi - lo <= target or not starts & set(range(lo + 1, hi))
+    for _, _, tops, gaps in chunks:
+        for arrays in gaps:
+            for a in arrays:
+                assert a is None or not a.flags.writeable
 
 
 @settings(SETTINGS, max_examples=200)

@@ -1,5 +1,5 @@
-"""The contiguous-stream block kernel (`ranks_below`, `bits_range`,
-`uniform_range`) against the scattered `uniforms` and the scalar
+"""The contiguous-stream block kernel (`ranks_below`, `uniform_range` and
+the window draw `_bits`) against the scattered `uniforms` and the scalar
 `uniform_at`."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -33,7 +33,7 @@ def test_block_kernel_matches_scattered_draws(key, count, k, data):
         [rng.uniform_at(key, r) for r in probe]
     full = rng.uniform_range(key, count)
     assert full.dtype == np.float64 and np.array_equal(bits(full), bits(ref))
-    raw = rng.bits_range(key, count)
+    raw = rng._bits(key, 0, np.empty(count, dtype=np.uint64))
     assert raw.dtype == np.uint64 and raw.shape == (count,)
     assert np.array_equal(bits(rng.to_uniform(raw)), bits(ref))
     # thresholds on the 2^-53 grid, at drawn values (u < p is strict) and
@@ -46,6 +46,23 @@ def test_block_kernel_matches_scattered_draws(key, count, k, data):
         got = rng.ranks_below(key, count, p)
         assert got.dtype == np.int64
         assert np.array_equal(got, np.flatnonzero(ref < p)), p
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(KEYS, st.data())
+def test_window_draws_are_slices_of_the_stream(key, data):
+    # windows at offsets off the block grid, inside one block and across
+    # one or more block boundaries, drawn into a larger reused buffer
+    lo = data.draw(st.one_of(st.sampled_from([0, 1, B - 1, B, B + 7]),
+                             st.integers(0, 3 * B)))
+    size = data.draw(st.one_of(st.sampled_from([0, 1, B - 1, B, B + 1]),
+                               st.integers(0, 2 * B + 3)))
+    buf = np.full(size + 5, 7, dtype=np.uint64)
+    got = rng._bits(key, lo, buf[:size])
+    assert got.base is buf or size == 0
+    ref = rng.uniforms(key, np.arange(lo, lo + size))
+    assert np.array_equal(bits(rng.to_uniform(got)), bits(ref))
+    assert (buf[size:] == 7).all()
 
 
 def test_ranks_below_at_the_ends_of_the_unit_interval():

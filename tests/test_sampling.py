@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwcomplex import rng
 from rwcomplex.harness import run_cov_nn
@@ -298,6 +299,31 @@ def test_sweep_with_forced_bits_matches_per_rank_reference(n, p):
     plain = PairedSample(params, 21)
     assert_same_complex(plain.complex(), reference_resampled(plain, []))
     assert_same_complex(plain.resampled(F), reference_resampled(plain, F))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data(), st.integers(1, 3), st.integers(0, 2 ** 63 - 1))
+def test_resampled_merge_matches_the_set_operations(data, d, seed):
+    # F with repeats, present and absent ranks, the ends 0 and nd - 1 and
+    # forced ranks, merged by searchsorted and insert/delete, against the
+    # set operations of reference_resampled, bit for bit
+    n = data.draw(st.integers(d + 1, d + 8))
+    nd = math.comb(n, d + 1)
+    p = data.draw(st.sampled_from([1.0, 0.5, 0.1, 1e-9]))
+    dist = data.draw(st.sampled_from([WeightDistribution("exponential", 2.0),
+                                      WeightDistribution("constant", 1.0)]))
+    ranks = st.integers(0, nd - 1)
+    forced = ForcedBits(b=data.draw(st.dictionaries(ranks, st.integers(0, 1),
+                                                    max_size=3)),
+                        b_prime=data.draw(st.dictionaries(
+                            ranks, st.integers(0, 1), max_size=3)))
+    s = PairedSample(ModelParams(n, d, p, dist), seed,
+                     data.draw(st.sampled_from([None, forced])))
+    F = data.draw(st.lists(st.one_of(ranks, st.sampled_from([0, nd - 1])),
+                           max_size=8))
+    as_array = data.draw(st.booleans())
+    assert_same_complex(s.resampled(np.array(F, dtype=np.int64) if as_array
+                                    else F), reference_resampled(s, F))
 
 
 def test_contiguous_streams_use_the_block_kernel(monkeypatch):

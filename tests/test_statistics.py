@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from rwcomplex.statistics import (LocalComplex, Statistic, betti_bounded,
                                   f_alpha_faces, isolated_count,
                                   local_statistic, local_statistic_near,
                                   LocalFunctional, make_statistic,
-                                  nn_terms, nn_total, nn_total_complex)
+                                  nn_all_faces, nn_terms, nn_total,
+                                  nn_total_complex)
 from rwcomplex.topology import component_view
 
 from test_cohomology import exact_cocycle_dim
@@ -62,6 +64,21 @@ def test_nn_total_matches_brute_force():
     # the materialized-complex evaluator agrees with the stream evaluator
     X = s.complex()
     assert nn_total_complex(X) == pytest.approx(nn_total(s))
+
+
+def test_nn_all_faces_never_holds_every_weight():
+    # the weight bits are drawn and folded chunk by chunk: a warm call's
+    # peak allocation stays below one uint64 per d-simplex (2.25 MB here)
+    s = PairedSample(exp_mean_n(120, 2), 4)
+    want = nn_all_faces(s)
+    tracemalloc.start()
+    try:
+        got = nn_all_faces(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 8 * math.comb(120, 3)
 
 
 def test_nn_requires_complete_cover():

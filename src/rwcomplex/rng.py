@@ -86,7 +86,8 @@ def to_uniform(z: np.ndarray) -> np.ndarray:
 def _blocks(key: int, lo: int, hi: int, out=None, last: bool = True):
     """(a, outputs at a, a+1, ...) per block of the counters lo..hi-1: in
     out, aligned with lo, else in one buffer."""
-    z, t = np.empty((2, min(hi - lo, BLOCK)), dtype=np.uint64)
+    t = np.empty(min(hi - lo, BLOCK), dtype=np.uint64)
+    z = np.empty_like(t) if out is None else None
     for a in range(lo, hi, BLOCK):
         zb = z[:hi - a] if out is None else out[a - lo:a - lo + BLOCK]
         base = np.uint64((key + _GOLDEN * (a + 1)) & _MASK)

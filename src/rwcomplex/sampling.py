@@ -197,16 +197,12 @@ class PairedSample:
                     present = np.insert(present, i, r) if v \
                         else np.delete(present, i)
         if fset.size:
-            # F's ranks leave present, and those b' keeps go back in at
-            # their places less the F ranks removed before them
-            i = np.searchsorted(present, fset)
-            hit = np.searchsorted(present, fset, side="right") > i
-            present = np.delete(present, i[hit])
-            keep = self.presence(fset, primed=True)
-            at, on = (i - hit.cumsum() + hit)[keep], fset[keep]
-            w = np.insert(self.weight_values(present), at,
-                          self.weight_values(on, primed=True))
-            present = np.insert(present, at, on)
+            present = np.union1d(np.setdiff1d(present, fset),
+                                 fset[self.presence(fset, primed=True)])
+            on_f = np.isin(present, fset)
+            w = np.empty(present.size)
+            w[~on_f] = self.weight_values(present[~on_f])
+            w[on_f] = self.weight_values(present[on_f], primed=True)
         elif present.size == nd:        # every rank: the contiguous stream
             w = self.all_weights()
         else:

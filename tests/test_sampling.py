@@ -303,10 +303,10 @@ def test_sweep_with_forced_bits_matches_per_rank_reference(n, p):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.data(), st.integers(1, 3), st.integers(0, 2 ** 63 - 1))
-def test_resampled_merge_matches_the_set_operations(data, d, seed):
+def test_resampled_with_f_matches_the_per_rank_reference(data, d, seed):
     # F with repeats, present and absent ranks, the ends 0 and nd - 1 and
-    # forced ranks, merged by searchsorted and insert/delete, against the
-    # set operations of reference_resampled, bit for bit
+    # forced ranks, as list or array, against reference_resampled, bit for
+    # bit
     n = data.draw(st.integers(d + 1, d + 8))
     nd = math.comb(n, d + 1)
     p = data.draw(st.sampled_from([1.0, 0.5, 0.1, 1e-9]))

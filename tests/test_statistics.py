@@ -68,7 +68,8 @@ def test_nn_total_matches_brute_force():
 
 def test_nn_all_faces_never_holds_every_weight():
     # the weight bits are drawn and folded chunk by chunk: a warm call's
-    # peak allocation stays below one uint64 per d-simplex (2.25 MB here)
+    # peak allocation (the chunk buffer, one block of mix scratch and the
+    # minima: 0.62 MB) stays below a third of one uint64 per d-simplex
     s = PairedSample(exp_mean_n(120, 2), 4)
     want = nn_all_faces(s)
     tracemalloc.start()
@@ -78,7 +79,7 @@ def test_nn_all_faces_never_holds_every_weight():
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    assert peak < 8 * math.comb(120, 3)
+    assert peak < 8 * math.comb(120, 3) // 3
 
 
 def test_nn_requires_complete_cover():

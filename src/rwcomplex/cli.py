@@ -295,6 +295,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from dataclasses import asdict
     from . import bounds
     if args.sigma_sq == "auto:n^d":
         sigma_sq = float(args.n) ** args.d
@@ -306,12 +307,9 @@ def _cmd_bound(args) -> int:
                                 gamma=args.gamma, C=args.C)
     fn = {"main": bounds.bound_main, "add-one": bounds.bound_add_one,
           "corollary": bounds.bound_corollary}[args.formula]
-    _emit({"formula": args.formula,
-           "inputs": {"n": args.n, "d": args.d, "lambda": args.lam,
-                      "k": args.k, "sigma_sq": sigma_sq, "J": args.J,
-                      "delta": args.delta, "rho": args.rho,
-                      "gamma": args.gamma, "C": args.C},
-           "value": fn(inputs),
+    record = asdict(inputs)
+    record["lambda"] = record.pop("lam")
+    _emit({"formula": args.formula, "inputs": record, "value": fn(inputs),
            "note": "bound up to universal constant C"}, args.out)
     return 0
 
@@ -348,7 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError,
+            OverflowError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -147,10 +147,12 @@ class StabilizationEstimate:
 
 
 def moments(values: np.ndarray) -> Tuple[float, float, np.ndarray]:
-    """Mean, unbiased variance and centered values of a sample, summed in
-    numpy's pairwise order; an exactly constant sample has exactly zero
-    variance."""
+    """Mean, unbiased variance and centered values of a sample of at least
+    two values, summed in numpy's pairwise order; an exactly constant
+    sample has exactly zero variance."""
     m = values.size
+    if m < 2:
+        raise ValueError("need at least 2 replicas")
     mean = float(np.sum(values) / m)
     centered = values - mean if np.any(values != values[0]) else np.zeros(m)
     return mean, float(np.sum(centered ** 2) / (m - 1)), centered
@@ -169,7 +171,6 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
 
 def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
                          replicas: int, seed: int,
-                         pair: Optional[Tuple[tuple, tuple]] = None,
                          randomized: bool = False) -> StabilizationEstimate:
     """Two-scale stabilization: for i in {0, 1}, the Monte Carlo mean of
     {D_tau f(X) - D_tau f(B_k(tau, X))}^2 with b at the disjoint probe
@@ -177,41 +178,31 @@ def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
     means (ties broken toward the larger standard error).
 
     With randomized=True the randomized-derivative variant is estimated
-    instead: Delta_tau replaces D_tau and the presence pair at tau is
-    conditioned on {b + b' = 1} via forced bits.
+    instead: Delta_tau replaces D_tau, conditioned on {b + b' = 1} at tau.
+    Either way only tau's two states are read, never its bit in X: the near
+    terms set tau's state themselves, and tau's faces are all sources of
+    the walk, so the ball reaches the same faces with tau in or out.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    tau, tau_prime = pair if pair is not None \
-        else canonical_tau_pair(params.n, params.d)
+    tau, tau_prime = canonical_tau_pair(params.n, params.d)
     tau_rank, tp_rank = rank_colex(tau), rank_colex(tau_prime)
+    at = np.array([tau_rank])
     results = []
     for i in (0, 1):
         gaps = np.empty(replicas)
         for r in range(replicas):
             child = rng.child_seed(seed, 2 * r + i)
-            forced = {tp_rank: i}
-            if randomized:
-                # condition on {b + b' = 1}: a fair coin picks which copy
-                # of tau's presence bit is on
-                coin = rng.uniform_at(rng.stream_key(child, 17), 0) < 0.5
-                b_tau = 1 if coin else 0
-                fb = dict(forced)
-                fb[tau_rank] = b_tau
-                s = PairedSample(params, child, ForcedBits(
-                    b=fb, b_prime={tau_rank: 1 - b_tau}))
-                # one X^F serves the global and the local derivative
-                XF, a, b = _resampled_states(s, [], tau_rank)
-                g_glob = _change(f, XF, tau_rank, a, b)
-                g_loc = _ball_change(f, XF, tau_rank, unrank_colex(
-                    tau_rank, params.d, params.n), a, b, k)
+            s = PairedSample(params, child, ForcedBits(b={tp_rank: i}))
+            X = s.complex()
+            # {b + b' = 1}: a fair coin picks b = 1 (below 1/2) or b' = 1
+            if randomized and \
+                    rng.uniform_at(rng.stream_key(child, 17), 0) >= 0.5:
+                a, b = None, float(s.weight_values(at, primed=True)[0])
             else:
-                s = PairedSample(params, child, ForcedBits(b=forced))
-                X = s.complex()
-                w_tau = float(s.weight_values(np.array([tau_rank]))[0])
-                g_glob = add_one_cost(f, X, tau_rank, w_tau)
-                g_loc = local_add_one_cost(f, X, tau_rank, w_tau, k)
-            gaps[r] = (g_glob - g_loc) ** 2
+                a, b = float(s.weight_values(at)[0]), None
+            gaps[r] = (_change(f, X, tau_rank, a, b)
+                       - _ball_change(f, X, tau_rank, tau, a, b, k)) ** 2
         mean, se = _mean_se(gaps)
         results.append((mean, se, i))
     results.sort(key=lambda t: (t[0], t[1]))

@@ -49,11 +49,7 @@ def child_seed(seed: int, index: int) -> int:
 
 def uniform_at(key: int, counter: int) -> float:
     """Scalar 53-bit uniform in [0, 1) at one counter position."""
-    z = (key + _GOLDEN * ((counter + 1) & _MASK)) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    z ^= z >> 31
-    return (z >> 11) * _INV_2_53
+    return (mix64(key + _GOLDEN * (counter + 1)) >> 11) * _INV_2_53
 
 
 def _mix(z: np.ndarray, t: np.ndarray, last: bool = True) -> np.ndarray:

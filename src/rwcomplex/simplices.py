@@ -197,22 +197,17 @@ def _cofacet_chunks(n: int, d: int, target: int) -> tuple:
     return tuple(chunks)
 
 
-def cofacet_minima(w, n: int, d: int) -> np.ndarray:
-    """Minimum of w over the n-d cofacets of every (d-1)-simplex, in face
-    rank order and w's dtype.  w holds one float64 or uint64 value per
-    d-simplex rank over n vertices, or is a function fill(lo, out) that
-    writes the uint64 values at ranks lo, lo+1, ... into out and returns
-    them: it is called once per chunk of about rng.BLOCK ranks, in rank
-    order, with one reused buffer."""
+def cofacet_minima(fill, n: int, d: int) -> np.ndarray:
+    """Minimum over the n-d cofacets of every (d-1)-simplex, in face rank
+    order, of uint64 values per d-simplex rank over n vertices, which
+    fill(lo, out) writes at ranks lo, lo+1, ... into out and returns: it is
+    called once per chunk of about rng.BLOCK ranks, in rank order, with one
+    reused buffer."""
     chunks = _cofacet_chunks(n, d, rng.BLOCK)
-    whole = isinstance(w, np.ndarray)
-    dtype = w.dtype if whole else np.dtype(np.uint64)
-    buf = None if whole else np.empty(max(hi - lo for lo, hi, _, _ in chunks),
-                                      dtype=dtype)
-    acc = np.full(math.comb(n, d), np.inf if dtype.kind == "f"
-                  else np.iinfo(dtype).max, dtype=dtype)
+    buf = np.empty(max(hi - lo for lo, hi, _, _ in chunks), dtype=np.uint64)
+    acc = np.full(math.comb(n, d), np.iinfo(np.uint64).max, dtype=np.uint64)
     for lo, hi, tops, gaps in chunks:
-        wc = w[lo:hi] if whole else w(lo, buf[:hi - lo])
+        wc = fill(lo, buf[:hi - lo])
         for m, a in tops:       # block c lines up with the faces [0, C(c, d))
             head = acc[:m]
             np.minimum(head, wc[a:a + m], out=head)

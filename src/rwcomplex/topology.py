@@ -198,14 +198,12 @@ def _popcount(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def connection_counts(n: int, d: int, k: int,
-                      sigma: Optional[Simplex] = None,
-                      sigma_prime: Optional[Simplex] = None) -> np.ndarray:
-    """counts[m] = number of present-sets of size m joining sigma to
-    sigma_prime by a path of length <= k.  Vectorized frontier propagation
+def connection_counts(n: int, d: int, k: int) -> np.ndarray:
+    """counts[m] = number of present-sets of size m joining the canonical
+    disjoint pair sigma, sigma' by a path of length <= k (by symmetry, every
+    disjoint pair has the same counts).  Vectorized frontier propagation
     over all 2^{C(n,d+1)} present-sets, chunked."""
-    if sigma is None or sigma_prime is None:
-        sigma, sigma_prime = canonical_disjoint_pair(n, d)
+    sigma, sigma_prime = canonical_disjoint_pair(n, d)
     nd = math.comb(n, d + 1)
     if nd > GAMMA_ENUMERATION_GUARD:
         raise ValueError("C(n, d+1) = %d exceeds enumeration guard %d"
@@ -247,14 +245,12 @@ def connection_counts(n: int, d: int, k: int,
     return counts
 
 
-def gamma_exact(params: ModelParams, k: int,
-                sigma: Optional[Simplex] = None,
-                sigma_prime: Optional[Simplex] = None) -> float:
+def gamma_exact(params: ModelParams, k: int) -> float:
     """Exact probability that two disjoint (d-1)-simplices are joined by a
     path of length <= k, by summing over all present-sets."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    counts = connection_counts(params.n, params.d, k, sigma, sigma_prime)
+    counts = connection_counts(params.n, params.d, k)
     nd = params.num_d_simplices
     p = params.p
     return float(sum(int(counts[m]) * p ** m * (1.0 - p) ** (nd - m)

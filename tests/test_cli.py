@@ -94,6 +94,30 @@ def test_oversized_instance_fails_fast(tmp_path):
     assert not (tmp_path / "c.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "gamma --n 10 --d 2 --lambda 1 --k 2 --replicas 0 --seed 1",
+    "gamma --n 10 --d 2 --lambda 1 --k 2 --replicas 1 --seed 1",
+    "cov-nn --n 12 --d 2 --replicas 0 --seed 1",
+    "cov-nn --n 12 --d 2 --replicas 1 --seed 1",
+    "bound --formula main --n 10 --d 400 --lambda 1 --k 1",
+    "bound --formula corollary --n 1000 --d 2 --lambda 10 --k 200",
+    "gamma --n 10 --d 2 --lambda 10 --k 400 --replicas 2 --seed 1"])
+def test_too_few_replicas_and_overflow_fail_with_one_error_line(argv):
+    # a fresh process, so a traceback or a numpy warning on stderr shows
+    import rwcomplex
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(rwcomplex.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rwcomplex.cli"]
+                          + argv.split(), capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 2
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert proc.stdout == ""
+    if "--replicas 0" in argv or "--replicas 1" in argv:
+        assert err == ["error: need at least 2 replicas"]
+
+
 IMPORT_BUDGET = """
 import json, sys
 import rwcomplex.cli

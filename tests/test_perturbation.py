@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwcomplex import rng
-from rwcomplex.perturbation import (_ball_change, _resampled_states,
+from rwcomplex.perturbation import (_ball_change, _change,
+                                    _mean_se, _resampled_states,
                                     add_one_cost, canonical_tau_pair,
                                     estimate_addone_mean,
                                     estimate_delta_tilde, estimate_gamma,
@@ -104,9 +106,8 @@ def ref_randomized_derivative(f, s, F, tau_rank):
 
 
 def local_randomized_derivative(f, s, F, tau_rank, k):
-    """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}) the way
-    estimate_delta_tilde(randomized=True) computes it: both balls from one
-    walk of X^F."""
+    """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}): both
+    balls from one walk of X^F, tau's two states read off the draws."""
     XF, a, b = _resampled_states(s, F, tau_rank)
     return _ball_change(f, XF, tau_rank,
                         unrank_colex(tau_rank, s.params.d, s.params.n), a, b,
@@ -116,6 +117,49 @@ def local_randomized_derivative(f, s, F, tau_rank, k):
 def ref_local_randomized_derivative(f, s, F, tau_rank, k):
     return ball_difference(f, s.resampled(F), s.resampled(F + [tau_rank]),
                            unrank_colex(tau_rank, s.params.d, s.params.n), k)
+
+
+def ref_estimate_delta_tilde(f, params, k, replicas, seed, randomized):
+    """estimate_delta_tilde as it was written with tau's bits forced too:
+    b at tau forced by the coin and b' at tau to its complement in the
+    randomized variant, the gaps taken on X^F through _resampled_states;
+    D_tau through add_one_cost and local_add_one_cost otherwise."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    tau, tau_prime = canonical_tau_pair(params.n, params.d)
+    tau_rank, tp_rank = rank_colex(tau), rank_colex(tau_prime)
+    results = []
+    for i in (0, 1):
+        gaps = np.empty(replicas)
+        for r in range(replicas):
+            child = rng.child_seed(seed, 2 * r + i)
+            forced = {tp_rank: i}
+            if randomized:
+                coin = rng.uniform_at(rng.stream_key(child, 17), 0) < 0.5
+                b_tau = 1 if coin else 0
+                fb = dict(forced)
+                fb[tau_rank] = b_tau
+                s = PairedSample(params, child, ForcedBits(
+                    b=fb, b_prime={tau_rank: 1 - b_tau}))
+                XF, a, b = _resampled_states(s, [], tau_rank)
+                g_glob = _change(f, XF, tau_rank, a, b)
+                g_loc = _ball_change(f, XF, tau_rank, unrank_colex(
+                    tau_rank, params.d, params.n), a, b, k)
+            else:
+                s = PairedSample(params, child, ForcedBits(b=forced))
+                X = s.complex()
+                w_tau = float(s.weight_values(np.array([tau_rank]))[0])
+                g_glob = add_one_cost(f, X, tau_rank, w_tau)
+                g_loc = local_add_one_cost(f, X, tau_rank, w_tau, k)
+            gaps[r] = (g_glob - g_loc) ** 2
+        mean, se = _mean_se(gaps)
+        results.append((mean, se, i))
+    results.sort(key=lambda t: (t[0], t[1]))
+    mean, se, i = results[-1]
+    op = "Delta, {b+b'=1} at tau" if randomized else "D"
+    return StabilizationEstimate(
+        "delta_tilde", mean, se, replicas, params, k=k, seed=seed,
+        conditioning="%s; b at tau'=%s forced to %d" % (op, tau_prime, i))
 
 
 def _params(n=8, d=2, p=0.25, mean=2.0):
@@ -262,6 +306,37 @@ def test_delta_randomized_variant_runs():
                                randomized=True)
     assert est.point_estimate >= 0.0
     assert "b+b'" in est.conditioning
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@pytest.mark.parametrize("randomized", (False, True))
+@pytest.mark.parametrize("spec", ("nn", "nn-alpha:0.8", "isolated",
+                                  "cocycle:2", "betti:2",
+                                  "local:cocycle-ratio:2"))
+@given(data=st.data())
+def test_delta_tilde_matches_the_forced_bit_reference(spec, randomized,
+                                                      data):
+    # the estimate's JSON (floats by repr, so bit for bit), or the same
+    # error: nn at p = 1 raises where the ball leaves a face uncovered
+    d = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2 * d + 2, 2 * d + 4))
+    p = data.draw(st.sampled_from((0.2, 0.5, 1.0)))
+    dist = data.draw(st.sampled_from((
+        WeightDistribution("exponential", float(n)),
+        WeightDistribution("uniform", 2.0),
+        WeightDistribution("constant", 1.0))))
+    params = ModelParams(n, d, p, dist)
+    f = make_statistic(spec, params)
+    args = (f, params, data.draw(st.integers(0, 3)),
+            data.draw(st.integers(2, 4)), data.draw(st.integers(0, 1 << 20)),
+            randomized)
+
+    def outcome(fn):
+        try:
+            return json.dumps(fn(*args).to_json(), sort_keys=True)
+        except ValueError as exc:
+            return "ValueError: %s" % exc
+    assert outcome(estimate_delta_tilde) == outcome(ref_estimate_delta_tilde)
 
 
 def test_rho_probe_zero_when_costs_vanish():

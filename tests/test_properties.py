@@ -365,27 +365,23 @@ def test_face_statistics_match_table_lookups(X, alpha):
 
 
 @SETTINGS
-@given(st.data(), st.integers(1, 4), st.booleans(), st.booleans())
-def test_cofacet_minima_match_the_table_gather(data, d, ties, raw):
-    # byte-identical to the gather over the table's cofacet ranks, for float
-    # weights and for raw uint64 stream outputs; values from a small set
-    # make ties the common case, and the uint64 ends 0 and 2^64 - 1 (the
-    # start of the running minimum) are among them.  A chunk target at or
-    # below the largest block C(n-1, d) makes chunks of one block, of many
-    # blocks, and single blocks larger than the target.
+@given(st.data(), st.integers(1, 4), st.booleans())
+def test_cofacet_minima_match_the_table_gather(data, d, ties):
+    # byte-identical to the gather over the table's cofacet ranks, for raw
+    # uint64 stream outputs; values from a small set make ties the common
+    # case, and the ends 0 and 2^64 - 1 (the start of the running minimum)
+    # are among them.  A chunk target at or below the largest block
+    # C(n-1, d) makes chunks of one block, of many blocks, and single
+    # blocks larger than the target.
     n = data.draw(st.integers(d + 1, d + 9))
     nd = math.comb(n, d + 1)
     target = data.draw(st.one_of(st.just(rng.BLOCK),
                                  st.integers(1, math.comb(n - 1, d) + 1)))
-    if raw:
-        top = 2 ** 64 - 1
-        values = st.sampled_from([0, 1, top - 1, top]) if ties \
-            else st.one_of(st.integers(0, top), st.sampled_from([0, top]))
-    else:
-        values = st.integers(0, 3).map(float) if ties \
-            else st.floats(0.0, 1e6, allow_subnormal=True)
+    top = 2 ** 64 - 1
+    values = st.sampled_from([0, 1, top - 1, top]) if ties \
+        else st.one_of(st.integers(0, top), st.sampled_from([0, top]))
     w = np.array(data.draw(st.lists(values, min_size=nd, max_size=nd)),
-                 dtype=np.uint64 if raw else np.float64)
+                 dtype=np.uint64)
     want = w[simplex_table(n, d).cofacet_ranks].min(axis=1)
     calls, buffers = [], set()
 
@@ -396,18 +392,17 @@ def test_cofacet_minima_match_the_table_gather(data, d, ties, raw):
         return out
 
     with mock.patch.object(rng, "BLOCK", target):
-        got = cofacet_minima(w, n, d)
-        assert got.dtype == w.dtype and got.tobytes() == want.tobytes()
-        if raw:
-            assert cofacet_minima(fill, n, d).tobytes() == want.tobytes()
-            w[:] = top      # faces whose cofacets all hold 2^64 - 1 keep it
-            assert set(cofacet_minima(w, n, d).tolist()) == {top}
+        got = cofacet_minima(fill, n, d)
+        first = calls[:], len(buffers)
+        assert got.dtype == np.uint64 and got.tobytes() == want.tobytes()
+        w[:] = top      # faces whose cofacets all hold 2^64 - 1 keep it
+        assert set(cofacet_minima(fill, n, d).tolist()) == {top}
         chunks = _cofacet_chunks(n, d, target)
     # fill is called once per chunk, in one buffer; the chunks tile the
     # ranks in order, each whole top-vertex blocks of at most the target,
     # or one larger block
     windows = [(lo, hi) for lo, hi, _, _ in chunks]
-    assert not raw or (calls == windows and len(buffers) == 1)
+    assert first == (windows, 1)
     edges = [0] + [hi for _, hi in windows]
     assert edges[-1] == nd and windows == list(zip(edges, edges[1:]))
     starts = {math.comb(c, d + 1) for c in range(n + 1)}
@@ -437,7 +432,8 @@ def test_nn_all_faces_is_the_minimum_of_all_weights(d, data, seed):
         st.floats(0.0, 3.0).map(lambda c: WeightDistribution("constant", c))))
     s = PairedSample(ModelParams(n, d, 1.0, dist), seed)
     assert nn_all_faces(s).tobytes() == \
-        cofacet_minima(s.all_weights(), n, d).tobytes()
+        s.all_weights()[simplex_table(n, d).cofacet_ranks].min(axis=1) \
+        .tobytes()
 
 
 BUILTIN_SPECS = ["nn", "nn-alpha:0.5", "nn-alpha:4", "isolated", "cocycle:1",

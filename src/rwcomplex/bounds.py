@@ -41,6 +41,14 @@ class BoundInputs:
                 raise ValueError("%s must be nonnegative" % name)
 
 
+def _finite(value: float) -> float:
+    """value, or OverflowError where a product overflowed on the way (an
+    inf, or the NaN of inf * 0): float powers raise it themselves."""
+    if not math.isfinite(value):
+        raise OverflowError("bound overflows the float range")
+    return value
+
+
 def _tail_term(i: BoundInputs) -> float:
     """(n^d / sigma^2)^{3/4} J^{1/4} lam^{1/2} / n^{d/4}; carries no C."""
     nd = float(i.n) ** i.d
@@ -60,13 +68,13 @@ def _core(i: BoundInputs, gamma_exponent: float) -> float:
 def bound_main(inputs: BoundInputs) -> float:
     """Randomized-derivative form (connection probability enters at power
     1/2); inputs delta/rho are the dominating constants of that form."""
-    return _core(inputs, 0.5) + _tail_term(inputs)
+    return _finite(_core(inputs, 0.5) + _tail_term(inputs))
 
 
 def bound_add_one(inputs: BoundInputs) -> float:
     """Add-one-cost form: as bound_main with the connection probability at
     power 1/3 and the two-scale (tilde) constants as inputs."""
-    return _core(inputs, 1.0 / 3.0) + _tail_term(inputs)
+    return _finite(_core(inputs, 1.0 / 3.0) + _tail_term(inputs))
 
 
 def bound_corollary(inputs: BoundInputs) -> float:
@@ -81,7 +89,7 @@ def bound_corollary(inputs: BoundInputs) -> float:
     first = i.C * i.J ** (1.0 / 6.0) * max(1.0, i.lam) ** 0.5 \
         * (nd / i.sigma_sq) ** 0.5 \
         * (i.delta ** 0.125 + crude ** (1.0 / 12.0))
-    return first + _tail_term(i)
+    return _finite(first + _tail_term(i))
 
 
 def gamma_bound(n: int, d: int, lam: float, k: int) -> float:
@@ -93,8 +101,8 @@ def gamma_bound(n: int, d: int, lam: float, k: int) -> float:
     growth = max(1.0, d * lam) ** k
     general = k ** (d + 1) * growth / float(n) ** d
     if k <= n:
-        return min(general, k ** 2 * growth / n)
-    return general
+        return _finite(min(general, k ** 2 * growth / n))
+    return _finite(general)
 
 
 def rho_bound(J: float, k: int, n: int, d: int, lam: float,
@@ -103,8 +111,8 @@ def rho_bound(J: float, k: int, n: int, d: int, lam: float,
     C J^{2/3} (k^5 (1 v d lam)^{2k} / n)^{1/3}; needs k <= n."""
     if k > n:
         raise ValueError("needs k <= n")
-    return C * J ** (2.0 / 3.0) \
-        * (k ** 5 * max(1.0, d * lam) ** (2 * k) / n) ** (1.0 / 3.0)
+    return _finite(C * J ** (2.0 / 3.0) * (
+        k ** 5 * max(1.0, d * lam) ** (2 * k) / n) ** (1.0 / 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -29,27 +29,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# flag head -> (law, the text before its number)
+_LAWS = {"exp": ("exponential", "mean="), "uniform": ("uniform", "bound="),
+         "constant": ("constant", "")}
+
+
 def parse_weights(spec: str, n: int) -> WeightDistribution:
     """Weight law flag: exp:mean=<m> | uniform:bound=<b> | constant:<c>."""
     from .sampling import WeightDistribution
     if spec == "default":
         return WeightDistribution("exponential", float(n))
     head, _, rest = spec.partition(":")
-    try:
-        if head == "exp":
-            key, _, val = rest.partition("=")
-            if key != "mean":
-                raise ValueError
-            return WeightDistribution("exponential", float(val))
-        if head == "uniform":
-            key, _, val = rest.partition("=")
-            if key != "bound":
-                raise ValueError
-            return WeightDistribution("uniform", float(val))
-        if head == "constant":
-            return WeightDistribution("constant", float(rest))
-    except ValueError:
-        pass
+    kind, key = _LAWS.get(head, (None, None))
+    if kind and rest.startswith(key):
+        try:
+            return WeightDistribution(kind, float(rest[len(key):]))
+        except ValueError:
+            pass
     raise UsageError("cannot parse weight distribution %r" % spec)
 
 
@@ -135,14 +131,18 @@ def _emit(record: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _experiment_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--stat", help="statistic selection string")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--d", type=int)
+def _model_flags(sub: argparse.ArgumentParser, required: bool) -> None:
+    sub.add_argument("--n", type=int, required=required)
+    sub.add_argument("--d", type=int, required=required)
     sub.add_argument("--p", type=float)
     sub.add_argument("--lambda", type=float, dest="lam",
                      help="lambda = n p, alternative to --p")
+
+
+def _experiment_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--config", help="JSON config file; flags override it")
+    sub.add_argument("--stat", help="statistic selection string")
+    _model_flags(sub, False)
     sub.add_argument("--weights", help="exp:mean=<m> | uniform:bound=<b> | "
                                        "constant:<c>")
     sub.add_argument("--replicas", type=int)
@@ -166,12 +166,9 @@ def build_parser() -> _Parser:
                                  "d-complexes")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    g = subs.add_parser("generate", parents=[], help="sample one complex "
-                        "and write it in the text format")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--p", type=float)
-    g.add_argument("--lambda", type=float, dest="lam")
+    g = subs.add_parser("generate", help="sample one complex and write it "
+                        "in the text format")
+    _model_flags(g, True)
     g.add_argument("--weights", default="default")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
@@ -195,10 +192,7 @@ def build_parser() -> _Parser:
     st.add_argument("--k", type=int, required=True)
 
     ga = subs.add_parser("gamma", help="<=k-path connection probability")
-    ga.add_argument("--n", type=int, required=True)
-    ga.add_argument("--d", type=int, required=True)
-    ga.add_argument("--p", type=float)
-    ga.add_argument("--lambda", type=float, dest="lam")
+    _model_flags(ga, True)
     ga.add_argument("--k", type=int, required=True)
     ga.add_argument("--replicas", type=int, required=True)
     ga.add_argument("--seed", type=int, required=True)

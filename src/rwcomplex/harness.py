@@ -24,7 +24,6 @@ from .perturbation import (estimate_addone_mean, estimate_delta_tilde,
                            estimate_gamma, estimate_rho_probe,
                            estimate_variance_and_J, moments, variance_se)
 from .sampling import ModelParams, PairedSample, exp_mean_n
-from .simplices import cofacet_ranks
 from .statistics import make_statistic
 
 KOLMOGOROV_95 = 1.36
@@ -232,7 +231,9 @@ def run_nn_face_moments(n: int, d: int, replicas: int,
     """Empirical mean/variance of the nearest face-weight at one fixed
     (d-1)-simplex, against the exact per-face law."""
     params = exp_mean_n(n, d)
-    ranks = cofacet_ranks(tuple(range(d)), n)
+    # the cofacets of (0, ..., d-1) are (0, ..., d-1, v), ranked C(v, d+1)
+    ranks = np.array([math.comb(v, d + 1) for v in range(d, n)],
+                     dtype=np.int64)
     values = np.empty(replicas)
     for i in range(replicas):
         values[i] = PairedSample(params, rng.child_seed(seed, i)) \

@@ -1,9 +1,9 @@
 """Deterministic counter-based random streams.
 
 Every draw is a pure function of (seed, stream tag, counter), so arbitrary
-slices of a stream can be materialized in any order, on any worker, and
-still agree bit for bit.  The generator is the SplitMix64 sequence: output
-at counter r is the SplitMix64 finalizer applied to key + (r+1)*GOLDEN;
+slices of a stream can be materialized in any order and still agree bit
+for bit.  The generator is the SplitMix64 sequence: output at counter r
+is the SplitMix64 finalizer applied to key + (r+1)*GOLDEN;
 `ranks_below` and `uniform_range` draw 0..count-1 in blocks, and `_bits` the
 raw outputs at any window lo..hi-1 of counters.
 """

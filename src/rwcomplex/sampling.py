@@ -109,9 +109,9 @@ class ModelParams:
                            WeightDistribution.from_json(obj["dist"]))
 
 
-def exp_mean_n(n: int, d: int, p: float = 1.0) -> ModelParams:
-    """The nearest face-weight model: Exp(mean n) weights, default p = 1."""
-    return ModelParams(n, d, p, WeightDistribution("exponential", float(n)))
+def exp_mean_n(n: int, d: int) -> ModelParams:
+    """The nearest face-weight model: Exp(mean n) weights at p = 1."""
+    return ModelParams(n, d, 1.0, WeightDistribution("exponential", float(n)))
 
 
 @dataclass(frozen=True)

@@ -69,22 +69,6 @@ def faces(tau: Sequence[int]) -> list:
     return [t[:i] + t[i + 1:] for i in range(len(t))]
 
 
-def cofacets(sigma: Sequence[int], n: int) -> list:
-    """All d-simplices sigma + {v} in the complete complex, v not in sigma."""
-    s = tuple(sigma)
-    out = []
-    for v in range(n):
-        if v not in s:
-            out.append(tuple(sorted(s + (v,))))
-    return out
-
-
-def cofacet_ranks(sigma: Sequence[int], n: int) -> np.ndarray:
-    """Ranks of all cofacets of sigma, ascending."""
-    return np.sort(np.array([rank_colex(t) for t in cofacets(sigma, n)],
-                            dtype=np.int64))
-
-
 # ---------------------------------------------------------------------------
 # vectorized colex arithmetic
 

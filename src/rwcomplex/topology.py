@@ -187,17 +187,6 @@ def canonical_disjoint_pair(n: int, d: int) -> Tuple[Simplex, Simplex]:
     return tuple(range(d)), tuple(range(d, 2 * d))
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a).astype(np.int64)
-    out = np.zeros(a.shape, dtype=np.int64)
-    a = a.copy()
-    while a.any():
-        out += (a & 1).astype(np.int64)
-        a >>= 1
-    return out
-
-
 def connection_counts(n: int, d: int, k: int) -> np.ndarray:
     """counts[m] = number of present-sets of size m joining the canonical
     disjoint pair sigma, sigma' by a path of length <= k (by symmetry, every
@@ -219,29 +208,25 @@ def connection_counts(n: int, d: int, k: int) -> np.ndarray:
 
     src_bit = np.uint32(1 << rank_colex(sigma))
     dst_bit = np.uint32(1 << rank_colex(sigma_prime))
+    shifts = np.arange(nd, dtype=np.uint32)[:, None]
     counts = np.zeros(nd + 1, dtype=np.int64)
-    chunk = 1 << 20
-    total = 1 << nd
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        subsets = np.arange(lo, hi, dtype=np.uint32)
-        frontier = np.full(hi - lo, src_bit, dtype=np.uint32)
+    chunk = 1 << 16         # a chunk's nd presence rows stay in cache
+    for lo in range(0, 1 << nd, chunk):
+        subsets = np.arange(lo, min(lo + chunk, 1 << nd), dtype=np.uint32)
+        # present[t]: whether d-simplex t is in each subset; its column
+        # sums are the subset sizes
+        present = ((subsets >> shifts) & np.uint32(1)).astype(bool)
+        frontier = np.full(subsets.size, src_bit, dtype=np.uint32)
         for _ in range(k):
-            old = frontier
-            new = old.copy()
-            for t in range(nd):
-                present = (subsets >> np.uint32(t)) & np.uint32(1)
-                touch = (old & face_masks[t]) != 0
-                gain = np.where(np.logical_and(present.astype(bool), touch),
-                                face_masks[t], np.uint32(0))
-                new |= gain
-            if np.array_equal(new, old):
+            new = frontier.copy()
+            for mask, bits in zip(face_masks, present):
+                new |= (((frontier & mask) != 0) & bits) * mask
+            if np.array_equal(new, frontier):
                 break
             frontier = new
         hit = (frontier & dst_bit) != 0
-        if hit.any():
-            sizes = _popcount(subsets[hit].astype(np.uint64))
-            counts += np.bincount(sizes, minlength=nd + 1)
+        counts += np.bincount(present[:, hit].sum(axis=0),
+                              minlength=nd + 1)
     return counts
 
 

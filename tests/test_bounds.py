@@ -193,6 +193,20 @@ def test_rho_bound_values():
         rho_bound(1.0, 11, 10, 1, 1.0)
 
 
+def test_overflowing_products_raise_instead_of_giving_inf_or_nan():
+    # finite inputs whose products leave the float range: an inf at
+    # lam = 1, the NaN of inf * 0 at lam = 0
+    for lam in (1.0, 0.0):
+        i = _inputs(n=10, k=1, lam=lam, sigma_sq=1e-300, C=1e308)
+        for fn in (bound_main, bound_add_one, bound_corollary):
+            with pytest.raises(OverflowError):
+                fn(i)
+    with pytest.raises(OverflowError):
+        gamma_bound(10, 2, 1e308, 1)        # d lam overflows
+    with pytest.raises(OverflowError):
+        rho_bound(1e300, 1, 10, 1, 1.0, C=1e308)
+
+
 # ---------------------------------------------------------------------------
 # variance bounds
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rwcomplex.cli import (UsageError, build_parser, main, parse_config,
                            parse_weights)
@@ -172,6 +173,73 @@ def test_parse_weights():
     for bad in ("exp", "exp:m=1", "gauss:1", "uniform:bound=x"):
         with pytest.raises(UsageError):
             parse_weights(bad, 10)
+
+
+def parse_weights_by_branches(spec, n):
+    """parse_weights as it was written before the law table, one branch
+    per law: the reference for the table."""
+    if spec == "default":
+        return WeightDistribution("exponential", float(n))
+    head, _, rest = spec.partition(":")
+    try:
+        if head == "exp":
+            key, _, val = rest.partition("=")
+            if key != "mean":
+                raise ValueError
+            return WeightDistribution("exponential", float(val))
+        if head == "uniform":
+            key, _, val = rest.partition("=")
+            if key != "bound":
+                raise ValueError
+            return WeightDistribution("uniform", float(val))
+        if head == "constant":
+            return WeightDistribution("constant", float(rest))
+    except ValueError:
+        pass
+    raise UsageError("cannot parse weight distribution %r" % spec)
+
+
+def _outcome(fn, spec):
+    try:
+        return fn(spec, 10)
+    except UsageError as exc:
+        return str(exc)
+
+
+_FLOAT = st.sampled_from(["1", "2.5", "0", "1e3", "-1", "nan", "inf", " 3",
+                          "1_0", ""])
+_NUMBER = st.one_of(_FLOAT, st.lists(st.sampled_from(
+    ["0", "1", "-", "e3", "x", " ", "_", "."]), max_size=3).map("".join))
+_LAW = st.sampled_from(["exp:mean=", "uniform:bound=", "constant:"])
+_PREFIX = st.one_of(_LAW, st.sampled_from(
+    ["exp:bound=", "uniform:mean=", "exp:mean", "exp:", "constant:=",
+     "gauss:mean=", "default", "exp=mean:", ""]))
+_PIECE = st.sampled_from(["exp", "uniform", "constant", "default", "gauss",
+                          "mean", "bound", ":", "="])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(_LAW, _FLOAT).map("".join),           # mostly laws
+    st.tuples(_PREFIX, _NUMBER).map("".join),       # near misses
+    st.lists(st.one_of(_PIECE, _NUMBER), max_size=5).map("".join)))
+def test_parse_weights_matches_the_branch_reference(spec):
+    assert _outcome(parse_weights, spec) == \
+        _outcome(parse_weights_by_branches, spec)
+
+
+@pytest.mark.parametrize("lam", ["1", "0"])
+def test_bound_overflow_fails_with_one_error_line(tmp_path, capsys, lam):
+    # the product overflows to inf at lambda 1 and to the NaN of inf * 0
+    # at lambda 0; neither is printed as a bound
+    out = tmp_path / "b.json"
+    assert main(["bound", "--formula", "main", "--n", "10", "--d", "2",
+                 "--lambda", lam, "--k", "1", "--C", "1e308", "--sigma-sq",
+                 "1e-300", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert captured.out == "" and not out.exists()
 
 
 def test_non_finite_inputs_fail_with_one_error_line(tmp_path, capsys):

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwcomplex.simplices import (MAX_D_SIMPLICES, WeightedComplex,
-                                 check_simplex,
-                                 cofacet_ranks, cofacets, d_simplex_count,
-                                 degree, faces, rank_colex, read_complex,
+                                 check_simplex, d_simplex_count, degree,
+                                 faces, rank_colex, read_complex,
                                  simplex_table, unrank_colex,
                                  unrank_colex_array, write_complex)
 
@@ -77,18 +76,21 @@ def test_faces_deletion_order():
     assert faces((2, 5)) == [(5,), (2,)]
 
 
-def test_cofacets_and_degree():
-    n = 6
-    cof = cofacets((1, 3), n)
-    assert len(cof) == n - 2
-    assert all(set((1, 3)) < set(t) for t in cof)
-    ranks = cofacet_ranks((1, 3), n)
-    assert sorted(ranks.tolist()) == ranks.tolist()
+def cofacets(sigma, n):
+    """All d-simplices sigma + {v} in the complete complex, v not in sigma
+    (the brute-force reference for the cofacet tables)."""
+    return [tuple(sorted(tuple(sigma) + (v,))) for v in range(n)
+            if v not in sigma]
 
+
+def test_cofacets_and_degree():
     X = WeightedComplex(6, 2, np.array([rank_colex((1, 3, 4))]),
                         np.array([0.5]))
     assert degree(X, (1, 3)) == 1
     assert degree(X, (0, 1)) == 0
+    for sigma in itertools.combinations(range(6), 2):
+        assert degree(X, sigma) == sum(X.has(rank_colex(t))
+                                       for t in cofacets(sigma, 6))
 
 
 def test_weighted_complex_add_remove():

@@ -7,8 +7,7 @@ import pytest
 
 from rwcomplex.sampling import (ModelParams, PairedSample, WeightDistribution,
                                 exp_mean_n, sample_complex)
-from rwcomplex.simplices import (WeightedComplex, cofacet_ranks, cofacets,
-                                 rank_colex, unrank_colex)
+from rwcomplex.simplices import WeightedComplex, rank_colex, unrank_colex
 from rwcomplex.statistics import (LocalComplex, Statistic, betti_bounded,
                                   cocycle_count_bounded, f_alpha,
                                   f_alpha_faces, isolated_count,
@@ -19,6 +18,7 @@ from rwcomplex.statistics import (LocalComplex, Statistic, betti_bounded,
 from rwcomplex.topology import component_view
 
 from test_cohomology import exact_cocycle_dim
+from test_simplices import cofacets
 from test_topology import bfs_components
 
 
@@ -47,7 +47,8 @@ def permuted(X, perm):
 
 def nn_face(s, sigma):
     # the minimum weight over the cofacets of one (d-1)-simplex
-    return float(s.weight_values(cofacet_ranks(sigma, s.params.n)).min())
+    ranks = sorted(rank_colex(t) for t in cofacets(sigma, s.params.n))
+    return float(s.weight_values(np.array(ranks, dtype=np.int64)).min())
 
 
 def test_nn_total_matches_brute_force():

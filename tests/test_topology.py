@@ -308,17 +308,30 @@ def brute_force_gamma(n, d, k, p, sigma, sigma_prime):
     return total
 
 
+def brute_force_counts(n, d, k, sigma, sigma_prime):
+    """Per size, the number of present-sets that join the pair by a path
+    of length <= k, decided by the same BFS."""
+    nd = math.comb(n, d + 1)
+    counts = [0] * (nd + 1)
+    for bits in range(1 << nd):
+        ranks = [r for r in range(nd) if bits >> r & 1]
+        X = WeightedComplex(n, d, np.array(ranks, dtype=np.int64),
+                            np.ones(len(ranks)))
+        counts[len(ranks)] += connected_within(X, sigma, sigma_prime, k)
+    return counts
+
+
 @pytest.mark.parametrize("n,d", [(4, 1), (5, 1), (4, 2), (5, 2)])
 def test_gamma_exact_matches_brute_force(n, d):
     sigma, sigma_prime = canonical_disjoint_pair(n, d)
-    for k in (1, 2, 3):
-        counts = connection_counts(n, d, k)
+    for k in range(4):
+        assert connection_counts(n, d, k).tolist() == \
+            brute_force_counts(n, d, k, sigma, sigma_prime), (n, d, k)
         for p in (0.1, 0.5, 0.9):
             params = ModelParams(n, d, p, WeightDistribution("constant", 1.0))
             got = gamma_exact(params, k)
             want = brute_force_gamma(n, d, k, p, sigma, sigma_prime)
             assert got == pytest.approx(want, abs=1e-12), (n, d, k, p)
-        assert int(counts.sum()) <= 1 << math.comb(n, d + 1)
 
 
 def test_gamma_exact_reference_value():

@@ -122,7 +122,8 @@ def parse_config(text: str, overrides: Optional[dict] = None
 
 
 def _emit(record: dict, out: Optional[str]) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(record, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w") as fh:
@@ -278,10 +279,10 @@ def _cmd_gamma(args) -> int:
     p = _resolve_p(args.n, args.p, args.lam)
     params = ModelParams(args.n, args.d, p,
                          WeightDistribution("constant", 1.0))
+    # the bound refuses a bad k before any replica runs
+    analytic = bounds.gamma_bound(args.n, args.d, params.lam, args.k)
     est = estimate_gamma(params, args.k, args.replicas, args.seed)
-    record = {"estimate": est.to_json(),
-              "analytic_bound": bounds.gamma_bound(args.n, args.d,
-                                                   params.lam, args.k)}
+    record = {"estimate": est.to_json(), "analytic_bound": analytic}
     if args.exact:
         record["exact"] = topology.gamma_exact(params, args.k)
     _emit(record, args.out)

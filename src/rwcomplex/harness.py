@@ -168,9 +168,7 @@ def _write_outputs(config: ExperimentConfig, values: np.ndarray,
     if config.outputs is None:
         return summary
     outdir = Path(config.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "replicas.csv"
-    write_replicas_csv(csv_path, values)
     summary = RunSummary(**{**summary.__dict__, "csv_path": str(csv_path)})
     record = {"config": config.to_json(), "summary": summary.to_json(),
               "meta": {"wall_time": summary.wall_time,
@@ -181,9 +179,11 @@ def _write_outputs(config: ExperimentConfig, values: np.ndarray,
                        "peak_rss_mb": resource.getrusage(
                            resource.RUSAGE_SELF).ru_maxrss / 1024,
                        "version": __version__}}
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # a non-finite field fails here, before any output file is written
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_replicas_csv(csv_path, values)
+    (outdir / "summary.json").write_text(text + "\n")
     return summary
 
 
@@ -248,13 +248,17 @@ def run_nn_face_moments(n: int, d: int, replicas: int,
 def run_stabilization(config: ExperimentConfig, k: int) -> Dict:
     """Estimate every stabilization input for the configured statistic and
     evaluate the bound pipeline on the estimates."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > config.params.n:
+        raise ValueError("needs k <= n")
     stat = make_statistic(config.statistic, config.params)
     params = config.params
     m = config.replicas
     delta = estimate_delta_tilde(stat, params, k, m,
                                  rng.child_seed(config.seed, 1))
     gamma = estimate_gamma(params, k, m, rng.child_seed(config.seed, 2))
-    rho = estimate_rho_probe(stat, params, k, [], [], m,
+    rho = estimate_rho_probe(stat, params, k, m,
                              rng.child_seed(config.seed, 3))
     var_est, j_est = estimate_variance_and_J(
         stat, params, m, rng.child_seed(config.seed, 4))

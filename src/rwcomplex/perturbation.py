@@ -1,8 +1,8 @@
 """Difference operators and Monte Carlo estimators of stabilization inputs.
 
-The randomized derivative resamples a simplex's presence/weight pair; the
-add-one cost toggles a simplex in and out.  Their two-scale (ball) versions
-quantify stabilization; the estimators here feed the bound evaluators.
+The add-one cost toggles a simplex in and out of one complex; its two-scale
+(ball) version quantifies stabilization, and the estimators here feed the
+bound evaluators.
 
 Every difference is the math.fsum of the statistic's near terms
 (Statistic.near_terms) in tau's two states on one complex, so no X + tau or
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,31 +46,6 @@ def _change(f: Statistic, X: WeightedComplex, tau_rank: int,
     signed = list(f.near_terms(X, tau_rank, a))
     signed.extend(-t for t in f.near_terms(X, tau_rank, b))
     return math.fsum(signed)
-
-
-def _resampled_states(s: PairedSample, F: Sequence[int], tau_rank: int
-                      ) -> Tuple[WeightedComplex, Optional[float],
-                                 Optional[float]]:
-    """X^F, and tau's weight in X^F and in X^{F + tau} (None: absent); the
-    latter is read from the draws (b', w') at tau."""
-    XF = s.resampled(F)
-    if not 0 <= tau_rank < math.comb(s.params.n, s.params.d + 1):
-        raise ValueError("resample rank out of range")
-    r = np.array([tau_rank])
-    return (XF, XF.weight_of(tau_rank) if XF.has(tau_rank) else None,
-            float(s.weight_values(r, primed=True)[0])
-            if s.presence(r, primed=True)[0] else None)
-
-
-def randomized_derivative(f: Statistic, s: PairedSample,
-                          F: Iterable[int], tau) -> float:
-    """Delta_tau f(X^F) = f(X^F) - f(X^{F + {tau}})."""
-    tau_rank = _as_rank(tau)
-    F = [int(r) for r in F]
-    if tau_rank in F:
-        raise ValueError("tau must not lie in F")
-    XF, a, b = _resampled_states(s, F, tau_rank)
-    return _change(f, XF, tau_rank, a, b)
 
 
 def add_one_cost(f: Statistic, X: WeightedComplex, tau,
@@ -229,17 +204,13 @@ def estimate_gamma(params: ModelParams, k: int, replicas: int,
 
 
 def estimate_rho_probe(f: Statistic, params: ModelParams, k: int,
-                       F: Iterable[int], F_prime: Iterable[int],
                        replicas: int, seed: int) -> StabilizationEstimate:
-    """Covariance probe at one (F, F') choice: a lower-bound witness of the
-    sup defining the covariance stabilization constant, NOT an upper bound
-    (only the analytic bound in the bounds module is)."""
+    """Covariance probe of the squared local add-one costs at tau and tau':
+    a lower-bound witness of the sup defining the covariance stabilization
+    constant, NOT an upper bound (only the analytic bound in the bounds
+    module is)."""
     tau, tau_prime = canonical_tau_pair(params.n, params.d)
     tau_rank, tp_rank = rank_colex(tau), rank_colex(tau_prime)
-    F = [int(r) for r in F]
-    Fp = [int(r) for r in F_prime]
-    if tau_rank in F + Fp or tp_rank in F + Fp:
-        raise ValueError("F and F' must avoid tau and tau'")
     a = np.empty(replicas)
     b = np.empty(replicas)
     for r in range(replicas):
@@ -247,22 +218,16 @@ def estimate_rho_probe(f: Statistic, params: ModelParams, k: int,
         w_tau = float(s.weight_values(np.array([tau_rank]))[0])
         w_tp = float(s.weight_values(np.array([tp_rank]))[0])
         X = s.complex()
-        XF = s.resampled(F) if F else X
-        XFp = s.resampled(Fp) if Fp else X
-        # where F (F') is empty, XF (XFp) is X and the cost is squared
         ga = local_add_one_cost(f, X, tau_rank, w_tau, k)
-        a[r] = ga * (local_add_one_cost(f, XF, tau_rank, w_tau, k)
-                     if F else ga)
         gb = local_add_one_cost(f, X, tp_rank, w_tp, k)
-        b[r] = gb * (local_add_one_cost(f, XFp, tp_rank, w_tp, k)
-                     if Fp else gb)
+        a[r], b[r] = ga * ga, gb * gb
     prod = moments(a)[2] * moments(b)[2]
     cov = float(np.sum(prod) / (replicas - 1))
     se = math.sqrt(moments(prod)[1]) / math.sqrt(replicas)
     return StabilizationEstimate(
         "rho_probe", cov, se, replicas, params, k=k, seed=seed,
-        conditioning="probe at F=%s, F'=%s (lower-bound witness)"
-                     % (sorted(F), sorted(Fp)))
+        # the point (F, F') = (empty, empty) of the sup that it witnesses
+        conditioning="probe at F=[], F'=[] (lower-bound witness)")
 
 
 def estimate_addone_mean(f: Statistic, params: ModelParams, replicas: int,

@@ -2,15 +2,15 @@
 
 A PairedSample holds the model parameters plus a master seed and exposes the
 quadruple (b, w, b', w') at every d-simplex rank as a pure function of
-(seed, rank).  The primary complex X, every resampled complex X^F, and all
-conditioned variants therefore live on one common probability space without
-ever storing C(n, d+1) values.
+(seed, rank).  The primary complex X, its variants with forced presence
+bits, and the independent copies (b', w') at any rank therefore live on one
+common probability space without ever storing C(n, d+1) values.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -116,20 +116,18 @@ def exp_mean_n(n: int, d: int) -> ModelParams:
 
 @dataclass(frozen=True)
 class ForcedBits:
-    """Presence-bit overrides by rank, applied after sampling.
+    """Overrides of the presence bits b by rank, applied after sampling.
 
-    Realizes conditioning on bit events (e.g. b_tau + b'_tau = 1) without
+    Realizes conditioning on bit events (e.g. b at tau' = 1) without
     rejection; valid because all coordinates are independent.
     """
 
     b: Dict[int, int] = field(default_factory=dict)
-    b_prime: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for m in (self.b, self.b_prime):
-            for r, v in m.items():
-                if v not in (0, 1):
-                    raise ValueError("forced bit must be 0 or 1")
+        for r, v in self.b.items():
+            if v not in (0, 1):
+                raise ValueError("forced bit must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -144,16 +142,15 @@ class PairedSample:
         return rng.stream_key(self.seed, tag)
 
     def presence(self, ranks, primed: bool = False) -> np.ndarray:
-        """Presence bits at the given ranks (b, or b' when primed)."""
+        """Presence bits at the given ranks (b with its forced bits, or b'
+        when primed)."""
         tag = rng.TAG_BP if primed else rng.TAG_B
         u = rng.uniforms(self._key(tag), ranks)
         bits = u < self.params.p
-        if self.forced is not None:
-            over = self.forced.b_prime if primed else self.forced.b
-            if over:
-                r = np.asarray(ranks)
-                for rank, v in over.items():
-                    bits = np.where(r == rank, bool(v), bits)
+        if self.forced is not None and not primed:
+            r = np.asarray(ranks)
+            for rank, v in self.forced.b.items():
+                bits = np.where(r == rank, bool(v), bits)
         return bits
 
     def weight_values(self, ranks, primed: bool = False) -> np.ndarray:
@@ -177,18 +174,12 @@ class PairedSample:
 
     def complex(self) -> WeightedComplex:
         """The primary complex X."""
-        return self.resampled(())
+        return self.resampled()
 
-    def resampled(self, F: Iterable[int]) -> WeightedComplex:
-        """X^F: the coupled complex using (b', w') on F and (b, w) elsewhere."""
+    def resampled(self) -> WeightedComplex:
+        """X from one presence sweep, its forced bits applied by
+        insertion; perfbench/tracing.py counts its calls as sweeps."""
         nd = d_simplex_count(self.params.n, self.params.d)
-        fset = F if isinstance(F, np.ndarray) \
-            else np.asarray(list(F), dtype=np.int64)
-        # np.unique imports numpy.ma, which the primary complex never needs
-        if fset.size:
-            fset = np.unique(fset)
-            if fset[0] < 0 or fset[-1] >= nd:
-                raise ValueError("resample rank out of range")
         present = rng.ranks_below(self._key(rng.TAG_B), nd, self.params.p)
         for r, v in (self.forced.b if self.forced else {}).items():
             if 0 <= r < nd:     # forced ranks out of range are ignored
@@ -196,14 +187,7 @@ class PairedSample:
                 if (present[i:i + 1].tolist() == [r]) != v:
                     present = np.insert(present, i, r) if v \
                         else np.delete(present, i)
-        if fset.size:
-            present = np.union1d(np.setdiff1d(present, fset),
-                                 fset[self.presence(fset, primed=True)])
-            on_f = np.isin(present, fset)
-            w = np.empty(present.size)
-            w[~on_f] = self.weight_values(present[~on_f])
-            w[on_f] = self.weight_values(present[on_f], primed=True)
-        elif present.size == nd:        # every rank: the contiguous stream
+        if present.size == nd:          # every rank: the contiguous stream
             w = self.all_weights()
         else:
             w = self.weight_values(present)

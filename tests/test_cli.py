@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -483,3 +484,52 @@ def test_readme_documents_every_flag():
     for cmd in ("generate", "stat", "clt", "variance", "stabilization",
                 "gamma", "bound", "cov-nn"):
         assert re.search(r"\b%s\b" % re.escape(cmd), text), cmd
+
+
+STAB_K = ["stabilization", "--n", "40", "--d", "2", "--lambda", "1",
+          "--stat", "cocycle:3", "--replicas", "300", "--seed", "3", "--k"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (STAB_K + ["0"], "k must be >= 1"),
+    (STAB_K + ["-1"], "k must be >= 1"),
+    (STAB_K + ["41"], "needs k <= n"),
+    (["gamma", "--n", "40", "--d", "2", "--lambda", "1", "--replicas",
+      "20000", "--seed", "1", "--k", "0"], "k must be >= 1")])
+def test_bad_k_is_refused_before_any_estimate(tmp_path, capsys, monkeypatch,
+                                              argv, message):
+    import rwcomplex.harness as harness
+    import rwcomplex.perturbation as perturbation
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("an estimate ran before k was checked")
+    for name in ("estimate_delta_tilde", "estimate_gamma",
+                 "estimate_rho_probe", "estimate_variance_and_J",
+                 "estimate_addone_mean"):
+        monkeypatch.setattr(harness, name, estimate)
+        monkeypatch.setattr(perturbation, name, estimate)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: " + message]
+    assert captured.out == "" and not out.exists()
+
+
+def test_a_non_finite_record_fails_with_one_error_line(tmp_path, capsys,
+                                                       monkeypatch):
+    # refused where it is written, with no output file left behind
+    import rwcomplex.harness as harness
+    clt = ["clt", "--n", "15", "--d", "1", "--p", "0.3", "--stat",
+           "isolated", "--replicas", "20", "--seed", "2"]
+    monkeypatch.setattr(harness, "kolmogorov_distance", lambda xs: math.nan)
+    for out in (None, tmp_path / "clt"):
+        _fails_once(clt + (["--out", str(out)] if out else []), capsys, 2,
+                    "not JSON compliant")
+    assert not (tmp_path / "clt").exists()
+    monkeypatch.setattr(harness, "run_cov_nn", lambda *args: {"cov": math.inf})
+    cov = ["cov-nn", "--n", "12", "--d", "2", "--replicas", "2", "--seed",
+           "1"]
+    for out in (None, tmp_path / "cov.json"):
+        _fails_once(cov + (["--out", str(out)] if out else []), capsys, 2,
+                    "not JSON compliant")
+    assert not (tmp_path / "cov.json").exists()

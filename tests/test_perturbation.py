@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rwcomplex import rng
-from rwcomplex.perturbation import (_ball_change, _change,
-                                    _mean_se, _resampled_states,
-                                    add_one_cost, canonical_tau_pair,
-                                    estimate_addone_mean,
+from rwcomplex.perturbation import (_as_rank, _ball_change, _change,
+                                    _mean_se, add_one_cost,
+                                    canonical_tau_pair, estimate_addone_mean,
                                     estimate_delta_tilde, estimate_gamma,
                                     estimate_rho_probe,
                                     estimate_variance_and_J,
-                                    local_add_one_cost, randomized_derivative,
+                                    local_add_one_cost,
                                     StabilizationEstimate)
 from rwcomplex.sampling import (ForcedBits, ModelParams, PairedSample,
                                 WeightDistribution, sample_complex)
@@ -28,6 +27,7 @@ from rwcomplex.statistics import (LocalFunctional, Statistic,
                                   nn_terms)
 from rwcomplex.topology import ball_k
 
+from test_sampling import reference_resampled
 from test_statistics import REFERENCE_LOCAL_G, reference_local_statistic
 
 
@@ -99,30 +99,55 @@ def ref_local_add_one_cost(f, X, tau_rank, w, k):
                            unrank_colex(tau_rank, X.d, X.n), k)
 
 
-def ref_randomized_derivative(f, s, F, tau_rank):
+# ---------------------------------------------------------------------------
+# the randomized derivative Delta_tau f(X^F) = f(X^F) - f(X^{F + tau}) over
+# the tests' X^F builder; b_prime maps ranks to the b' bits forced there
+
+def resampled_states(s, F, tau_rank, b_prime=None):
+    """X^F, and tau's weight in X^F and in X^{F + tau} (None: absent); the
+    latter is read from the draws (b', w') at tau."""
+    XF = reference_resampled(s, F, b_prime)
+    r = np.array([tau_rank])
+    bp = (b_prime or {}).get(tau_rank, s.presence(r, primed=True)[0])
+    return (XF, XF.weight_of(tau_rank) if XF.has(tau_rank) else None,
+            float(s.weight_values(r, primed=True)[0]) if bp else None)
+
+
+def randomized_derivative(f, s, F, tau, b_prime=None):
+    """Delta_tau f(X^F): the near terms of tau's two states on X^F."""
+    tau_rank = _as_rank(tau)
     if tau_rank in F:
         raise ValueError("tau must not lie in F")
-    return full_difference(f, s.resampled(F), s.resampled(F + [tau_rank]))
+    XF, a, b = resampled_states(s, F, tau_rank, b_prime)
+    return _change(f, XF, tau_rank, a, b)
 
 
-def local_randomized_derivative(f, s, F, tau_rank, k):
+def ref_randomized_derivative(f, s, F, tau_rank, b_prime=None):
+    if tau_rank in F:
+        raise ValueError("tau must not lie in F")
+    return full_difference(f, reference_resampled(s, F, b_prime),
+                           reference_resampled(s, F + [tau_rank], b_prime))
+
+
+def local_randomized_derivative(f, s, F, tau_rank, k, b_prime=None):
     """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}): both
     balls from one walk of X^F, tau's two states read off the draws."""
-    XF, a, b = _resampled_states(s, F, tau_rank)
+    XF, a, b = resampled_states(s, F, tau_rank, b_prime)
     return _ball_change(f, XF, tau_rank,
                         unrank_colex(tau_rank, s.params.d, s.params.n), a, b,
                         k)
 
 
-def ref_local_randomized_derivative(f, s, F, tau_rank, k):
-    return ball_difference(f, s.resampled(F), s.resampled(F + [tau_rank]),
+def ref_local_randomized_derivative(f, s, F, tau_rank, k, b_prime=None):
+    return ball_difference(f, reference_resampled(s, F, b_prime),
+                           reference_resampled(s, F + [tau_rank], b_prime),
                            unrank_colex(tau_rank, s.params.d, s.params.n), k)
 
 
 def ref_estimate_delta_tilde(f, params, k, replicas, seed, randomized):
     """estimate_delta_tilde as it was written with tau's bits forced too:
     b at tau forced by the coin and b' at tau to its complement in the
-    randomized variant, the gaps taken on X^F through _resampled_states;
+    randomized variant, the gaps taken on X^F through resampled_states;
     D_tau through add_one_cost and local_add_one_cost otherwise."""
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -139,9 +164,9 @@ def ref_estimate_delta_tilde(f, params, k, replicas, seed, randomized):
                 b_tau = 1 if coin else 0
                 fb = dict(forced)
                 fb[tau_rank] = b_tau
-                s = PairedSample(params, child, ForcedBits(
-                    b=fb, b_prime={tau_rank: 1 - b_tau}))
-                XF, a, b = _resampled_states(s, [], tau_rank)
+                s = PairedSample(params, child, ForcedBits(b=fb))
+                XF, a, b = resampled_states(s, [], tau_rank,
+                                            {tau_rank: 1 - b_tau})
                 g_glob = _change(f, XF, tau_rank, a, b)
                 g_loc = _ball_change(f, XF, tau_rank, unrank_colex(
                     tau_rank, params.d, params.n), a, b, k)
@@ -171,10 +196,10 @@ def test_randomized_derivative_zero_when_copies_agree():
     params = _params()
     tau = (0, 1, 2)
     r = rank_colex(tau)
-    s = PairedSample(params, 5, ForcedBits(b={r: 0}, b_prime={r: 0}))
+    s = PairedSample(params, 5, ForcedBits(b={r: 0}))
     for spec in ("nn-alpha:1.0", "isolated", "cocycle:3"):
         f = make_statistic(spec, params)
-        assert randomized_derivative(f, s, [], tau) == 0.0
+        assert randomized_derivative(f, s, [], tau, {r: 0}) == 0.0
 
 
 def test_randomized_derivative_isolated_edge():
@@ -183,17 +208,9 @@ def test_randomized_derivative_isolated_edge():
     params = ModelParams(n, 1, 1e-9, WeightDistribution("constant", 1.0))
     tau = (0, 1)
     r = rank_colex(tau)
-    s = PairedSample(params, 3, ForcedBits(b={r: 0}, b_prime={r: 1}))
+    s = PairedSample(params, 3, ForcedBits(b={r: 0}))
     f = make_statistic("isolated", params)
-    assert randomized_derivative(f, s, [], tau) == 2.0
-
-
-def test_randomized_derivative_rejects_tau_in_F():
-    params = _params()
-    f = make_statistic("isolated", params)
-    s = PairedSample(params, 1)
-    with pytest.raises(ValueError):
-        randomized_derivative(f, s, [0], 0)
+    assert randomized_derivative(f, s, [], tau, {r: 1}) == 2.0
 
 
 def test_add_one_cost_isolated_on_empty():
@@ -342,22 +359,13 @@ def test_delta_tilde_matches_the_forced_bit_reference(spec, randomized,
 def test_rho_probe_zero_when_costs_vanish():
     params = _params()
     f = make_statistic("nn-alpha:1.0", params)
-    est = estimate_rho_probe(f, params, k=0, F=[], F_prime=[], replicas=50,
-                             seed=6)
+    est = estimate_rho_probe(f, params, k=0, replicas=50, seed=6)
     assert est.point_estimate == 0.0 and est.std_error == 0.0
 
 
-def test_rho_probe_rejects_bad_F():
-    params = _params()
-    f = make_statistic("isolated", params)
-    tau, _ = canonical_tau_pair(params.n, params.d)
-    with pytest.raises(ValueError):
-        estimate_rho_probe(f, params, 1, [rank_colex(tau)], [], 10, 0)
-
-
 def test_estimates_sample_and_walk_each_complex_once(monkeypatch):
-    # randomized delta_tilde: one X^F per replica serves both derivatives;
-    # rho probe: with F (F') empty, one walk of X at tau (tau')
+    # randomized delta_tilde: one X per replica serves both derivatives;
+    # rho probe: one walk of X at tau and one at tau' per replica
     import rwcomplex.perturbation as perturbation
     params = _params(n=10, p=0.4)
     f = make_statistic("cocycle:2", params)
@@ -365,9 +373,9 @@ def test_estimates_sample_and_walk_each_complex_once(monkeypatch):
     real_resampled = PairedSample.resampled
     real_local = perturbation.local_add_one_cost
 
-    def resampled(self, F):
-        sweeps.append(list(F))
-        return real_resampled(self, F)
+    def resampled(self):
+        sweeps.append(self.seed)
+        return real_resampled(self)
 
     def local(*args):
         walks.append(args[2])
@@ -376,12 +384,9 @@ def test_estimates_sample_and_walk_each_complex_once(monkeypatch):
     monkeypatch.setattr(perturbation, "local_add_one_cost", local)
     estimate_delta_tilde(f, params, k=1, replicas=2, seed=3,
                          randomized=True)
-    assert sweeps == [[]] * 4          # 2 replicas x 2 conditions
-    estimate_rho_probe(f, params, 1, [], [], 2, 3)
+    assert len(set(sweeps)) == len(sweeps) == 4    # 2 replicas x 2 cases
+    estimate_rho_probe(f, params, 1, 2, 3)
     assert len(walks) == 4
-    walks.clear()
-    estimate_rho_probe(f, params, 1, [3], [9], 2, 3)
-    assert len(walks) == 8
 
 
 def test_forced_bits_match_rejection_sampling():
@@ -470,20 +475,22 @@ def test_differences_match_the_two_complex_reference(spec, d, data):
     bits = st.one_of(st.just({}), st.builds(lambda v: {tau: v},
                                             st.integers(0, 1)))
     s = PairedSample(params, data.draw(st.integers(0, 1 << 20)),
-                     ForcedBits(b=data.draw(bits), b_prime=data.draw(bits)))
+                     ForcedBits(b=data.draw(bits)))
+    b_prime = data.draw(bits)
     F = data.draw(st.lists(st.integers(0, nd - 1), max_size=3))
     k = data.draw(st.integers(0, 3))
-    X = s.resampled(data.draw(st.lists(st.integers(0, nd - 1),
-                                       max_size=2)))
+    X = reference_resampled(s, data.draw(st.lists(st.integers(0, nd - 1),
+                                                  max_size=2)), b_prime)
     w = data.draw(st.floats(0.0, 3.0))
     assert _outcome(add_one_cost, f, X, tau, w) == \
         _outcome(ref_add_one_cost, f, X, tau, w)
     assert _outcome(local_add_one_cost, f, X, tau, w, k) == \
         _outcome(ref_local_add_one_cost, f, X, tau, w, k)
-    assert _outcome(randomized_derivative, f, s, F, tau) == \
-        _outcome(ref_randomized_derivative, f, s, F, tau)
-    assert _outcome(local_randomized_derivative, f, s, F, tau, k) == \
-        _outcome(ref_local_randomized_derivative, f, s, F, tau, k)
+    assert _outcome(randomized_derivative, f, s, F, tau, b_prime) == \
+        _outcome(ref_randomized_derivative, f, s, F, tau, b_prime)
+    assert _outcome(local_randomized_derivative, f, s, F, tau, k,
+                    b_prime) == \
+        _outcome(ref_local_randomized_derivative, f, s, F, tau, k, b_prime)
 
 
 @pytest.mark.parametrize("w, message", [
@@ -524,10 +531,10 @@ def test_differences_never_toggle_the_full_complex(spec, monkeypatch):
     tau = rank_colex((0, 1, 2))
     full = []
 
-    def resampled(self, F):
+    def resampled(s, F, b_prime=None):
         if tau in list(F):
             raise AssertionError("X^{F + tau} built")
-        full.append(real_resampled(self, F))
+        full.append(real_resampled(s, F, b_prime))
         return full[-1]
 
     def refuse(name):
@@ -538,19 +545,20 @@ def test_differences_never_toggle_the_full_complex(spec, monkeypatch):
                 raise AssertionError("%s on the full complex" % name)
             return method(self, *args)
         return wrapped
-    real_resampled = PairedSample.resampled
-    monkeypatch.setattr(PairedSample, "resampled", resampled)
+    real_resampled = reference_resampled
+    monkeypatch.setitem(globals(), "reference_resampled", resampled)
     for name in ("with_simplex", "without_simplex"):
         monkeypatch.setattr(WeightedComplex, name, refuse(name))
     for b, bp in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        s = PairedSample(params, 5, ForcedBits(b={tau: b}, b_prime={tau: bp}))
+        s = PairedSample(params, 5, ForcedBits(b={tau: b}))
         X = s.complex()
+        full.append(X)
         add_one_cost(f, X, tau, 0.7)
         add_one_cost(f, X, tau + 1, 0.7)
         local_add_one_cost(f, X, tau, 0.7, 50)
-        randomized_derivative(f, s, [], tau)
-        randomized_derivative(f, s, [3, 40], tau)
-        local_randomized_derivative(f, s, [3], tau, 50)
+        randomized_derivative(f, s, [], tau, {tau: bp})
+        randomized_derivative(f, s, [3, 40], tau, {tau: bp})
+        local_randomized_derivative(f, s, [3], tau, 50, {tau: bp})
 
 
 # ---------------------------------------------------------------------------

@@ -469,24 +469,16 @@ def test_sample_value_matches_evaluate_of_the_complex(spec, n, d, p, seed):
 # the sampler's forced bits and constant weights against the code they
 # replaced
 
-def union_resampled(s, F):
-    """X^F as resampled built it when it applied each forced bit with
+def union_resampled(s):
+    """X as resampled built it when it applied each forced bit with
     union1d or setdiff1d."""
     nd = math.comb(s.params.n, s.params.d + 1)
-    fset = np.unique(np.asarray(list(F), dtype=np.int64))
     present = rng.ranks_below(s._key(rng.TAG_B), nd, s.params.p)
     for r, v in (s.forced.b if s.forced else {}).items():
         if 0 <= r < nd:
             present = np.union1d(present, [r]) if v \
                 else np.setdiff1d(present, [r])
-    if fset.size:
-        present = np.union1d(np.setdiff1d(present, fset),
-                             fset[s.presence(fset, primed=True)])
-    on_f = np.isin(present, fset)
-    w = np.empty(present.size)
-    w[~on_f] = s.weight_values(present[~on_f])
-    w[on_f] = s.weight_values(present[on_f], primed=True)
-    return present, w
+    return present, s.weight_values(present)
 
 
 @SETTINGS
@@ -505,12 +497,10 @@ def test_forced_bits_by_insertion_match_the_union_reference(d, extra, p,
         rank = st.one_of(st.sampled_from(present), rank)
     s = PairedSample(params, seed, ForcedBits(b=data.draw(
         st.dictionaries(rank, st.integers(0, 1), max_size=6))))
-    for F in ([], data.draw(st.lists(st.integers(0, nd - 1), min_size=1,
-                                     max_size=3))):
-        X = s.resampled(F)
-        want, w = union_resampled(s, F)
-        assert_same_array(X.present, want)
-        assert_same_array(X.weights, w)
+    X = s.resampled()
+    want, w = union_resampled(s)
+    assert_same_array(X.present, want)
+    assert_same_array(X.weights, w)
 
 
 @SETTINGS

@@ -180,12 +180,13 @@ def test_purity_and_determinism():
 
 
 def test_resampled_coupling():
+    # the tests' X^F against the primary complex the package builds
     params = _params(p=0.5)
     s = PairedSample(params, 3)
     X = s.complex()
-    assert np.array_equal(s.resampled([]).present, X.present)
+    assert np.array_equal(s.resampled().present, X.present)
     F = [0, 1, 2, 3, 4]
-    XF = s.resampled(F)
+    XF = reference_resampled(s, F)
     fset = set(F)
     # off F the two complexes agree exactly
     for r in range(params.num_d_simplices):
@@ -205,9 +206,8 @@ def test_resampled_coupling():
 
 def test_forced_bits():
     params = _params(p=0.0001)
-    s = PairedSample(params, 1, ForcedBits(b={3: 1}, b_prime={4: 0}))
+    s = PairedSample(params, 1, ForcedBits(b={3: 1}))
     assert bool(s.presence(np.array([3]))[0])
-    assert not bool(s.presence(np.array([4]), primed=True)[0])
     with pytest.raises(ValueError):
         ForcedBits(b={0: 2})
 
@@ -247,9 +247,11 @@ def test_truncation_threshold_equals_conditioned_law():
 # ---------------------------------------------------------------------------
 # the presence sweep and the full weight draw against per-rank access
 
-def reference_resampled(s, F):
-    """X^F through the per-block presence() sweep that the block kernel
-    replaced: forced bits and all, one rank at a time."""
+def reference_resampled(s, F, b_prime=None):
+    """X^F, the coupled complex with (b', w') on F and (b, w) elsewhere,
+    through the per-block presence() sweep that the block kernel replaced:
+    forced bits and all, one rank at a time.  b_prime maps ranks to the b'
+    bits forced there."""
     nd = d_simplex_count(s.params.n, s.params.d)
     fset = np.unique(np.asarray(list(F), dtype=np.int64))
     block = 1 << 13
@@ -258,8 +260,10 @@ def reference_resampled(s, F):
             lo, min(lo + block, nd), dtype=np.int64)))
         for lo in range(0, nd, block)])
     if fset.size:
-        present = np.union1d(np.setdiff1d(present, fset),
-                             fset[s.presence(fset, primed=True)])
+        bp = s.presence(fset, primed=True)
+        for r, v in (b_prime or {}).items():
+            bp = np.where(fset == r, bool(v), bp)
+        present = np.union1d(np.setdiff1d(present, fset), fset[bp])
     on_f = np.isin(present, fset)
     w = np.empty(present.size)
     w[~on_f] = s.weight_values(present[~on_f])
@@ -282,48 +286,38 @@ def test_sweep_with_forced_bits_matches_per_rank_reference(n, p):
     X = PairedSample(params, 21).complex()
     absent = sorted(set(range(nd)) - set(X.present.tolist()))
     f1, f2 = X.present[[1, 2]].tolist()
-    F = [f1, f2, 5 + (absent[0] if absent else 0)]
     # a present rank forced to 0, an absent one to 1, ranks past the last
-    # d-simplex, and ranks in F, whose b the primed stream overrides
+    # d-simplex, and present ranks forced to 0 and to 1
     forced = {X.present[0].item(): 0, nd: 1, nd + 7: 0, f1: 0, f2: 1}
     if absent:
         forced[absent[-1]] = 1
-    s = PairedSample(params, 21, ForcedBits(b=forced, b_prime={f1: 1}))
+    s = PairedSample(params, 21, ForcedBits(b=forced))
     Xf = s.complex()
     assert_same_complex(Xf, reference_resampled(s, []))
     assert not Xf.has(X.present[0].item()) and Xf.present[-1] < nd
     assert Xf.has(f2) and not Xf.has(f1)
     if absent:
         assert Xf.has(absent[-1])
-    assert_same_complex(s.resampled(F), reference_resampled(s, F))
     plain = PairedSample(params, 21)
     assert_same_complex(plain.complex(), reference_resampled(plain, []))
-    assert_same_complex(plain.resampled(F), reference_resampled(plain, F))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.data(), st.integers(1, 3), st.integers(0, 2 ** 63 - 1))
-def test_resampled_with_f_matches_the_per_rank_reference(data, d, seed):
-    # F with repeats, present and absent ranks, the ends 0 and nd - 1 and
-    # forced ranks, as list or array, against reference_resampled, bit for
-    # bit
+def test_complex_matches_the_per_rank_reference(data, d, seed):
+    # every rank present (the contiguous weight stream) down to none,
+    # drawn and constant weights, forced ranks, against
+    # reference_resampled, bit for bit
     n = data.draw(st.integers(d + 1, d + 8))
     nd = math.comb(n, d + 1)
     p = data.draw(st.sampled_from([1.0, 0.5, 0.1, 1e-9]))
     dist = data.draw(st.sampled_from([WeightDistribution("exponential", 2.0),
                                       WeightDistribution("constant", 1.0)]))
-    ranks = st.integers(0, nd - 1)
-    forced = ForcedBits(b=data.draw(st.dictionaries(ranks, st.integers(0, 1),
-                                                    max_size=3)),
-                        b_prime=data.draw(st.dictionaries(
-                            ranks, st.integers(0, 1), max_size=3)))
+    forced = ForcedBits(b=data.draw(st.dictionaries(
+        st.integers(0, nd - 1), st.integers(0, 1), max_size=3)))
     s = PairedSample(ModelParams(n, d, p, dist), seed,
                      data.draw(st.sampled_from([None, forced])))
-    F = data.draw(st.lists(st.one_of(ranks, st.sampled_from([0, nd - 1])),
-                           max_size=8))
-    as_array = data.draw(st.booleans())
-    assert_same_complex(s.resampled(np.array(F, dtype=np.int64) if as_array
-                                    else F), reference_resampled(s, F))
+    assert_same_complex(s.complex(), reference_resampled(s, []))
 
 
 def test_contiguous_streams_use_the_block_kernel(monkeypatch):

@@ -54,6 +54,8 @@ def _resolve_p(n: int, p: Optional[float], lam: Optional[float]) -> float:
     agree."""
     if p is None and lam is None:
         raise UsageError("one of --p or --lambda is required")
+    if lam is not None and n < 1:       # lambda / n has no value
+        raise ValueError("need 1 <= d < n")
     if p is not None and lam is not None and abs(p - lam / n) > 1e-12:
         raise UsageError("inconsistent --p and --lambda: p != lambda/n")
     return p if p is not None else lam / n
@@ -106,6 +108,10 @@ def parse_config(text: str, overrides: Optional[dict] = None
         raise UsageError("; ".join(msgs))
     n, d, replicas, seed = (_int_field(obj, k)
                             for k in ("n", "d", "replicas", "seed"))
+    for key in ("p", "lambda"):
+        if type(obj.get(key)) not in (int, float, type(None)):
+            raise UsageError("field %s must be a number, got %s"
+                             % (key, json.dumps(obj[key])))
     p = _resolve_p(n, obj.get("p"), obj.get("lambda"))
     if "dist" in obj and obj["dist"] is not None:
         dist = obj["dist"]
@@ -279,12 +285,13 @@ def _cmd_gamma(args) -> int:
     p = _resolve_p(args.n, args.p, args.lam)
     params = ModelParams(args.n, args.d, p,
                          WeightDistribution("constant", 1.0))
-    # the bound refuses a bad k before any replica runs
-    analytic = bounds.gamma_bound(args.n, args.d, params.lam, args.k)
-    est = estimate_gamma(params, args.k, args.replicas, args.seed)
-    record = {"estimate": est.to_json(), "analytic_bound": analytic}
+    # a bad k, then an --exact past the enumeration guard, before replicas
+    record = {"analytic_bound": bounds.gamma_bound(args.n, args.d,
+                                                   params.lam, args.k)}
     if args.exact:
         record["exact"] = topology.gamma_exact(params, args.k)
+    record["estimate"] = estimate_gamma(params, args.k, args.replicas,
+                                        args.seed).to_json()
     _emit(record, args.out)
     return 0
 

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import rng
 from .sampling import ForcedBits, ModelParams, PairedSample, sample_complex
-from .simplices import (WeightedComplex, _check_rank, _check_weights,
-                        rank_colex, unrank_colex)
+from .simplices import (WeightedComplex, _check_rank, _check_weights, _sub,
+                        rank_colex)
 from .statistics import Statistic, UncoveredFaceError
-from .topology import ball_k, canonical_disjoint_pair, connected_within
+from .topology import (_site, _walk, canonical_disjoint_pair,
+                       connected_within)
 
 
 def canonical_tau_pair(n: int, d: int) -> Tuple[tuple, tuple]:
@@ -40,11 +41,14 @@ def _as_rank(tau) -> int:
 
 
 def _change(f: Statistic, X: WeightedComplex, tau_rank: int,
-            a: Optional[float], b: Optional[float]) -> float:
-    """f(X with tau at weight a) - f(X with tau at weight b), None standing
-    for tau absent: the exact sum of f's near terms of the two states."""
-    signed = list(f.near_terms(X, tau_rank, a))
-    signed.extend(-t for t in f.near_terms(X, tau_rank, b))
+            a: Optional[float], b: Optional[float],
+            within: Optional[Sequence[int]] = None) -> float:
+    """f(X with tau at weight a) - f(X with tau at weight b), None: absent,
+    on X's simplices at `within` (None: all): the fsum of f's near terms."""
+    if f.near is None and within is not None:
+        X, within = _sub(X, within), None     # one slice for both states
+    signed = list(f.near_terms(X, tau_rank, a, within))
+    signed.extend(-t for t in f.near_terms(X, tau_rank, b, within))
     return math.fsum(signed)
 
 
@@ -68,19 +72,19 @@ def local_add_one_cost(f: Statistic, X: WeightedComplex, tau,
     if k < 0:
         raise ValueError("k must be nonnegative")
     tau_rank = _as_rank(tau)
-    tau_verts = unrank_colex(tau_rank, X.d, X.n)
+    _site(X, tau_rank)                   # a rank out of range, as X + tau
     _check_weights(np.float64(w_tau))    # a bad weight, as X + tau
-    return _ball_change(f, X, tau_rank, tau_verts, w_tau, None, k)
+    return _ball_change(f, X, tau_rank, w_tau, None, k)
 
 
 def _ball_change(f: Statistic, X: WeightedComplex, tau_rank: int,
-                 tau_verts: tuple, a: Optional[float], b: Optional[float],
-                 k: int) -> float:
+                 a: Optional[float], b: Optional[float], k: int) -> float:
     """_change on B_k(tau, X) in place of X: tau at weight a against b on
-    the balls of the two states, both from one walk of X."""
-    ball = ball_k(X, tau_verts, k)
+    the balls of the two states, both the positions of one walk of X."""
+    within = _walk(X, _site(X, tau_rank)[1], k - 1)[1]
     try:
-        return _change(f, ball, tau_rank, *((a, b) if k else (None, None)))
+        return _change(f, X, tau_rank, *((a, b) if k else (None, None)),
+                       within)
     except UncoveredFaceError:
         raise ValueError(
             "nn undefined on B_k(tau, X) at k=%d: the ball leaves a face "
@@ -177,7 +181,7 @@ def estimate_delta_tilde(f: Statistic, params: ModelParams, k: int,
             else:
                 a, b = float(s.weight_values(at)[0]), None
             gaps[r] = (_change(f, X, tau_rank, a, b)
-                       - _ball_change(f, X, tau_rank, tau, a, b, k)) ** 2
+                       - _ball_change(f, X, tau_rank, a, b, k)) ** 2
         mean, se = _mean_se(gaps)
         results.append((mean, se, i))
     results.sort(key=lambda t: (t[0], t[1]))

@@ -61,7 +61,8 @@ class WeightDistribution:
             if self.cap is not None:
                 np.multiply(u, 1.0 - math.exp(-self.cap / self.param), out=u)
             np.log(np.subtract(1.0, u, out=u), out=u)
-            np.multiply(-self.param, u, out=u)
+            with np.errstate(over="ignore"):    # inf: refused as a weight
+                np.multiply(-self.param, u, out=u)
         return u
 
     def to_json(self) -> dict:

@@ -17,18 +17,8 @@ from . import rng
 from .cohomology import coboundary_rows, rank_pm1
 from .sampling import ModelParams, PairedSample
 from .simplices import (WeightedComplex, _sub, cofacet_minima,
-                        d_simplex_count, faces, unrank_colex,
-                        unrank_colex_array)
-from .topology import _center_faces, _m_ball, _walk, component_labels
-
-
-def _site(X: WeightedComplex, tau_rank: int) -> Tuple[int, list, list]:
-    """tau's position in X.present (-1: absent), its face ranks, and their
-    ids in X's face index (-1: uncovered)."""
-    i = int(np.searchsorted(X.present, tau_rank))
-    ranks = _center_faces(X, unrank_colex(tau_rank, X.d, X.n))
-    return (i if X.present[i:i + 1].tolist() == [tau_rank] else -1, ranks,
-            [X.face_index.find(r) for r in ranks])
+                        d_simplex_count, faces, unrank_colex_array)
+from .topology import _m_ball, _site, _walk, component_labels
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +74,14 @@ def nn_total_complex(X: WeightedComplex) -> float:
     return math.fsum(nn_terms(X))
 
 
-def nn_near(X: WeightedComplex, tau_rank: int,
-            w: Optional[float]) -> List[float]:
+def nn_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
+            within: Optional[Sequence[int]] = None) -> List[float]:
     """f_alpha_near at alpha = inf; raises like nn_terms if the complex,
     tau at weight w, leaves a face uncovered."""
-    vals = f_alpha_near(X, tau_rank, w, math.inf)
-    if math.inf in vals or isolated_count(X) > _site(X, tau_rank)[2].count(-1):
+    vals = f_alpha_near(X, tau_rank, w, within, math.inf)
+    rows = X.face_index.rows if within is None else X.face_index.rows[within]
+    others = np.setdiff1d(rows, _site(X, tau_rank)[2]).size   # not tau's
+    if math.inf in vals or others < math.comb(X.n, X.d) - X.d - 1:
         raise UncoveredFaceError(
             "nn_total undefined: some face has degree 0")
     return vals
@@ -114,13 +106,15 @@ def f_alpha(X: WeightedComplex, alpha: float) -> float:
 
 
 def f_alpha_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
-                 alpha: float) -> List[float]:
-    """The values of tau's faces, tau at weight w (absent if None)."""
+                 within: Optional[Sequence[int]], alpha: float) -> List[float]:
+    """The values of tau's faces, tau at weight w (absent if None), on the
+    simplices of X at positions `within` (None: all)."""
     pos, _, ids = _site(X, tau_rank)
     _, ptr, simp, _ = X.face_index.lists
+    inside = range(X.num_present) if within is None else set(within)
     cap = alpha if w is None else min(w, alpha)
     return [min([cap] + X.weights[[s for s in simp[ptr[j]:ptr[j + 1]]
-                                   if s != pos]].tolist())
+                                   if s != pos and s in inside]].tolist())
             if j >= 0 else cap for j in ids]
 
 
@@ -209,15 +203,16 @@ def local_statistic(X: WeightedComplex, lf: LocalFunctional) -> float:
 
 
 def local_statistic_near(X: WeightedComplex, tau_rank: int,
-                         w: Optional[float],
+                         w: Optional[float], within: Optional[Sequence[int]],
                          lf: LocalFunctional) -> List[float]:
-    """local_statistic_terms of tau's (2M - 1)-ball, tau at weight w
-    (absent if None).  Only the faces within M - 1 of tau's faces see tau,
-    their M-balls lie in that ball, and all other terms agree between the
-    two states, since tau shortens no path from its own faces."""
+    """local_statistic_terms of tau's (2M - 1)-ball on the simplices of X
+    at positions `within` (None: all), tau at weight w (None: absent).
+    Only the faces within M - 1 of tau's faces see tau, their M-balls lie
+    in that ball, and all other terms agree between the two states, since
+    tau shortens no path from its own faces."""
     pos, ranks, _ = _site(X, tau_rank)
-    reach = _walk(X, ranks, 2 * lf.M - 2)[1]
-    Z = _sub(X, reach[reach != pos])
+    reach = _walk(X, ranks, 2 * lf.M - 2, within)[1]
+    Z = _sub(X, [p for p in reach if p != pos])
     return local_statistic_terms(Z if w is None else
                                  Z.with_simplex(tau_rank, w), lf)
 
@@ -278,14 +273,16 @@ def _kernel_dims(rows: np.ndarray, comp: np.ndarray, k: int) -> np.ndarray:
 
 
 def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
+                 within: Optional[Sequence[int]],
                  M: int) -> List[Tuple[int, int]]:
     """(f, z) as in _small_components of the strong components holding
-    tau's faces, tau present iff w is not None: each component of X - tau
-    is walked from a face of tau and dropped past M faces, and a face X
-    leaves uncovered is (1, 1); with tau present they merge into one,
-    dropped too past M faces."""
+    tau's faces on the simplices of X at positions `within` (None: all),
+    tau present iff w is not None: each component without tau is walked
+    from a face of tau and dropped past M faces, and an uncovered face is
+    (1, 1); with tau present they merge into one, dropped too past M."""
     pos, ranks, ids = _site(X, tau_rank)
     _, ptr, simp, row_ids = X.face_index.lists
+    inside = range(X.num_present) if within is None else set(within)
     k1, seen, comps = X.d + 1, set(), [(1, [])] * ids.count(-1)
     for j in ids:
         if j < 0 or j in seen:
@@ -295,7 +292,7 @@ def cocycle_near(X: WeightedComplex, tau_rank: int, w: Optional[float],
             if len(fs) > M:
                 break
             for s in simp[ptr[f]:ptr[f + 1]]:
-                if s != pos:
+                if s != pos and s in inside:
                     on.add(s)
                     new = set(row_ids[k1 * s:k1 * s + k1]) - got
                     got |= new
@@ -335,13 +332,14 @@ class Statistic:
     statistics (like the uncapped nearest face-weight total) that admit no
     such constant.
 
-    `near(X, tau_rank, w)` returns the terms of fn at X with the
-    d-simplex tau set to weight w (None: absent) that can depend on tau's
+    `near(X, tau_rank, w, within)` returns the terms of fn on the
+    simplices of X at ascending positions `within` (None: all of X), with
+    the d-simplex tau at weight w (None: absent), that can depend on tau's
     state: fn of that complex minus the exact sum of the terms must not
     depend on the state.  Difference operators subtract two such lists
     under exact (fsum) accumulation, so the terms left out cancel exactly;
     this is what makes the two-scale identities hold bit-exactly.  Without
-    it, `near_terms` returns [fn(X with tau in that state)].
+    it, `near_terms` returns [fn(that complex)].
 
     `sample_fn`, when set, evaluates a sample without materializing its
     complex and agrees with fn(s.complex()) up to summation order.
@@ -350,20 +348,22 @@ class Statistic:
     name: str
     fn: Callable[[WeightedComplex], float]
     lipschitz_H: Optional[float]
-    near: Optional[Callable[[WeightedComplex, int, Optional[float]],
-                            Sequence[float]]] = None
+    near: Optional[Callable[..., Sequence[float]]] = None
     sample_fn: Optional[Callable[[PairedSample], float]] = None
 
     def evaluate(self, X: WeightedComplex) -> float:
         return float(self.fn(X))
 
     def near_terms(self, X: WeightedComplex, tau_rank: int,
-                   w: Optional[float]) -> Sequence[float]:
-        """The near terms of X with tau at weight w (absent if None)."""
+                   w: Optional[float],
+                   within: Optional[Sequence[int]] = None) -> Sequence[float]:
+        """The near terms of X, or of its simplices at positions `within`,
+        with tau at weight w (absent if None)."""
         if self.near is not None:
-            return self.near(X, tau_rank, w)
-        return [self.evaluate(X.without_simplex(tau_rank) if w is None
-                              else X.with_simplex(tau_rank, w))]
+            return self.near(X, tau_rank, w, within)
+        Z = X if within is None else _sub(X, within)
+        return [self.evaluate(Z.without_simplex(tau_rank) if w is None
+                              else Z.with_simplex(tau_rank, w))]
 
     def sample_value(self, s: PairedSample) -> float:
         """The statistic of the sample's primary complex."""
@@ -389,11 +389,11 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
         if not 0 < alpha < math.inf:
             raise ValueError("alpha must be finite and positive")
         return Statistic(spec, lambda X: f_alpha(X, alpha), (d + 1) * alpha,
-                         near=lambda X, t, w: f_alpha_near(X, t, w, alpha))
+                         near=lambda *at: f_alpha_near(*at, alpha))
     if head == "isolated" and len(parts) == 1:
         return Statistic("isolated", lambda X: float(isolated_count(X)),
-                         float(d + 1), near=lambda X, t, w: [
-                             f_alpha_near(X, t, w, math.inf).count(math.inf)])
+                         float(d + 1), near=lambda *at: [
+                             f_alpha_near(*at, math.inf).count(math.inf)])
     if head in ("cocycle", "betti", "local") and \
             len(parts) == (3 if head == "local" else 2):
         M = int(parts[-1])
@@ -404,16 +404,16 @@ def make_statistic(spec: str, params: ModelParams) -> Statistic:
             # the two differ by a constant, so they share their near terms
             fn = cocycle_count_bounded if head == "cocycle" else betti_bounded
             return Statistic(spec, lambda X: float(fn(X, M)), H,
-                             near=lambda X, t, w: [
-                                 sum(z for _, z in cocycle_near(X, t, w, M))])
+                             near=lambda *at: [
+                                 sum(z for _, z in cocycle_near(*at, M))])
         if parts[1] == "isolated":
             # the M-ball of a covered face holds a d-simplex, so g is 0 there
             return replace(make_statistic("isolated", params), name=spec,
                            lipschitz_H=H)
         if parts[1] == "cocycle-ratio":
             return Statistic(spec, lambda X: cocycle_ratio_total(X, M), H,
-                             near=lambda X, t, w: [
-                                 z / f for f, z in cocycle_near(X, t, w, M)
+                             near=lambda *at: [
+                                 z / f for f, z in cocycle_near(*at, M)
                                  for _ in range(f)])
         raise ValueError("unknown builtin g %r" % parts[1])
     raise ValueError("cannot parse statistic %r" % spec)

@@ -17,41 +17,46 @@ import numpy as np
 
 from .sampling import ModelParams
 from .simplices import (Simplex, WeightedComplex, _sub, face_rank_array,
-                        faces, rank_colex)
+                        faces, rank_colex, unrank_colex)
 
 
-def _walk(X: WeightedComplex, sources: List[int],
-          depth: float) -> Tuple[Dict[int, int], np.ndarray]:
+def _walk(X: WeightedComplex, sources: List[int], depth: float,
+          within: Optional[Sequence[int]] = None) -> Tuple[dict, list]:
     """BFS over X's face index from the covered faces among `sources`
-    (ranks): {face rank: distance} for them and every face within `depth`,
-    and the ascending positions in X.present of the simplices on the latter."""
+    (ranks) through the simplices at positions `within` (None: all of X):
+    {face id: distance} for them and every face within `depth`, and the
+    ascending positions in X.present of the simplices on the latter."""
     index = X.face_index
-    faces_, ptr, simp, row_ids = index.lists
+    _, ptr, simp, row_ids = index.lists
     k1 = X.d + 1
+    inside = None if within is None else set(within)
     dist = dict.fromkeys([j for j in map(index.find, sources) if j >= 0], 0)
     queue = list(dist)
-    reached = []
+    reached = set()
     for f in queue:     # the loop also visits the faces appended below
         df = dist[f]
         if df > depth:
             break       # depth < 0: not even the sources are within it
         on = simp[ptr[f]:ptr[f + 1]]
-        reached += on
+        if inside is not None:
+            on = [s for s in on if s in inside]
+        reached.update(on)
         if df < depth:
             for s in on:
                 for o in row_ids[k1 * s:k1 * s + k1]:
                     if o not in dist:
                         dist[o] = df + 1
                         queue.append(o)
-    return (dict(zip(map(faces_.__getitem__, queue), dist.values())),
-            np.array(sorted(set(reached)), dtype=np.int64))
+    return dist, sorted(reached)
 
 
 def bfs_distances(X: WeightedComplex, source_rank: int,
                   max_dist: Optional[int] = None) -> Dict[int, int]:
     """Minimal path lengths from a source (d-1)-simplex to every reached one."""
-    return _walk(X, [source_rank], math.inf if max_dist is None
-                 else max_dist)[0] or {source_rank: 0}
+    dist = _walk(X, [source_rank], math.inf if max_dist is None
+                 else max_dist)[0]
+    faces_ = X.face_index.lists[0]
+    return {faces_[j]: v for j, v in dist.items()} or {source_rank: 0}
 
 
 def _center_faces(X: WeightedComplex, center: Sequence[int]) -> List[int]:
@@ -62,6 +67,19 @@ def _center_faces(X: WeightedComplex, center: Sequence[int]) -> List[int]:
     if len(c) == X.d + 1:
         return [rank_colex(f) for f in faces(c)]
     raise ValueError("center must have dimension d-1 or d")
+
+
+def _site(X: WeightedComplex, tau_rank: int) -> Tuple[int, list, list]:
+    """tau's position in X.present (-1: absent), its face ranks, and their
+    ids in X's face index (-1: uncovered): found once per (X, tau) and kept
+    on X, as its face rows are."""
+    sites = X.__dict__.setdefault("_sites", {})
+    if tau_rank not in sites:
+        i = int(np.searchsorted(X.present, tau_rank))
+        ranks = _center_faces(X, unrank_colex(tau_rank, X.d, X.n))
+        i = i if X.present[i:i + 1].tolist() == [tau_rank] else -1
+        sites[tau_rank] = i, ranks, [X.face_index.find(r) for r in ranks]
+    return sites[tau_rank]
 
 
 def connected_within(X: WeightedComplex, sigma: Sequence[int],
@@ -102,7 +120,7 @@ def _m_ball(X: WeightedComplex, sources: List[int],
             M: int) -> Tuple[np.ndarray, np.ndarray]:
     """m_ball from the ranks of the center's (d-1)-simplices: the ascending
     positions in X.present of its d-simplices and its face ranks, ascending."""
-    reached = _walk(X, sources, M - 1)[1]
+    reached = np.array(_walk(X, sources, M - 1)[1], dtype=np.int64)
     lower = set(X.face_rows[reached].ravel().tolist()).union(sources)
     return reached, np.array(sorted(lower), dtype=np.int64)
 

@@ -515,6 +515,23 @@ def test_bad_k_is_refused_before_any_estimate(tmp_path, capsys, monkeypatch,
     assert captured.out == "" and not out.exists()
 
 
+def test_gamma_exact_guard_is_checked_before_any_replica(tmp_path, capsys,
+                                                        monkeypatch):
+    import rwcomplex.perturbation as perturbation
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("a replica ran before the guard was checked")
+    monkeypatch.setattr(perturbation, "estimate_gamma", estimate)
+    out = tmp_path / "out.json"
+    assert main(["gamma", "--n", "40", "--d", "2", "--lambda", "1", "--k",
+                 "2", "--replicas", "20000", "--seed", "1", "--exact",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: C(n, d+1) = 9880 exceeds enumeration guard 24"]
+    assert captured.out == "" and not out.exists()
+
+
 def test_a_non_finite_record_fails_with_one_error_line(tmp_path, capsys,
                                                        monkeypatch):
     # refused where it is written, with no output file left behind

@@ -48,7 +48,7 @@ def local_stat(spec, params):
     M = int(spec.split(":")[2])
     lf = LocalFunctional("num-lower", TEST_LOCAL_G["num-lower"](M), M)
     return Statistic(spec, lambda X: local_statistic(X, lf), None,
-                     near=lambda X, t, w: local_statistic_near(X, t, w, lf))
+                     near=lambda *at: local_statistic_near(*at, lf))
 
 
 def reference_terms(f):
@@ -133,9 +133,7 @@ def local_randomized_derivative(f, s, F, tau_rank, k, b_prime=None):
     """Delta_tau f on B_k(tau, X^F) against B_k(tau, X^{F + tau}): both
     balls from one walk of X^F, tau's two states read off the draws."""
     XF, a, b = resampled_states(s, F, tau_rank, b_prime)
-    return _ball_change(f, XF, tau_rank,
-                        unrank_colex(tau_rank, s.params.d, s.params.n), a, b,
-                        k)
+    return _ball_change(f, XF, tau_rank, a, b, k)
 
 
 def ref_local_randomized_derivative(f, s, F, tau_rank, k, b_prime=None):
@@ -168,8 +166,7 @@ def ref_estimate_delta_tilde(f, params, k, replicas, seed, randomized):
                 XF, a, b = resampled_states(s, [], tau_rank,
                                             {tau_rank: 1 - b_tau})
                 g_glob = _change(f, XF, tau_rank, a, b)
-                g_loc = _ball_change(f, XF, tau_rank, unrank_colex(
-                    tau_rank, params.d, params.n), a, b, k)
+                g_loc = _ball_change(f, XF, tau_rank, a, b, k)
             else:
                 s = PairedSample(params, child, ForcedBits(b=forced))
                 X = s.complex()

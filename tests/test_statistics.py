@@ -172,7 +172,7 @@ def reference_local_statistic(spec: str, params: ModelParams) -> Statistic:
     lf = LocalFunctional(gname, REFERENCE_LOCAL_G[gname](int(M)), int(M))
     return Statistic(spec, lambda X: local_statistic(X, lf),
                      float((params.d + 1) * lf.M),
-                     near=lambda X, t, w: local_statistic_near(X, t, w, lf))
+                     near=lambda *at: local_statistic_near(*at, lf))
 
 
 def test_local_isolated_equals_isolated_count():

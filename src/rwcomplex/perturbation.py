@@ -219,8 +219,7 @@ def estimate_rho_probe(f: Statistic, params: ModelParams, k: int,
     b = np.empty(replicas)
     for r in range(replicas):
         s = PairedSample(params, rng.child_seed(seed, r))
-        w_tau = float(s.weight_values(np.array([tau_rank]))[0])
-        w_tp = float(s.weight_values(np.array([tp_rank]))[0])
+        w_tau, w_tp = s.weight_values(np.array([tau_rank, tp_rank])).tolist()
         X = s.complex()
         ga = local_add_one_cost(f, X, tau_rank, w_tau, k)
         gb = local_add_one_cost(f, X, tp_rank, w_tp, k)

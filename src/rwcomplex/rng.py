@@ -9,6 +9,8 @@ raw outputs at any window lo..hi-1 of counters.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -27,6 +29,9 @@ BLOCK = 1 << 15     # counters per block of the contiguous-stream kernel
 _STEPS = np.arange(BLOCK, dtype=np.uint64)     # i * GOLDEN, multiplied in
 _STEPS *= np.uint64(_GOLDEN)                   # place: no freed temporary
 _STEPS.flags.writeable = False
+# _mix's (shift, multiplier) rounds and final shift, as uint64 scalars
+_ROUNDS = tuple(tuple(map(np.uint64, r)) for r in ((30, _MIX1), (27, _MIX2)))
+_S31 = np.uint64(31)
 
 
 def mix64(z: int) -> int:
@@ -55,10 +60,10 @@ def uniform_at(key: int, counter: int) -> float:
 def _mix(z: np.ndarray, t: np.ndarray, last: bool = True) -> np.ndarray:
     """SplitMix64 finalizer of the uint64 array z, in place; t is scratch.
     With last=False the final step z ^= z >> 31 is left to the caller."""
-    for shift, mult in ((30, _MIX1), (27, _MIX2)):
-        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=t), out=z)
-        np.multiply(z, np.uint64(mult), out=z)
-    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z) \
+    for shift, mult in _ROUNDS:
+        np.bitwise_xor(z, np.right_shift(z, shift, out=t), out=z)
+        np.multiply(z, mult, out=z)
+    return np.bitwise_xor(z, np.right_shift(z, _S31, out=t), out=z) \
         if last else z
 
 
@@ -98,14 +103,15 @@ def ranks_below(key: int, count: int, p: float) -> np.ndarray:
     z <= L | (2^33 - 1) are candidates; they alone are finished and tested."""
     if p >= 1.0:
         return np.arange(count, dtype=np.int64)
-    limit = int(np.ceil(p * 2.0 ** 53)) << 11
+    limit = math.ceil(p * 2.0 ** 53) << 11
     bound, limit = np.uint64(limit | (1 << 33) - 1), np.uint64(limit)
     parts = [np.empty(0, dtype=np.int64)]
     for lo, z in _blocks(key, 0, count, last=False):
-        cand = np.flatnonzero(z <= bound)
-        y = z[cand]
-        parts.append(lo + cand[(y ^ (y >> np.uint64(31))) < limit])
-    return np.concatenate(parts)
+        cand = (z <= bound).nonzero()[0]
+        y = z.take(cand)
+        np.bitwise_xor(y, y >> _S31, out=y)
+        parts.append(lo + cand[y < limit])
+    return parts[-1] if len(parts) <= 2 else np.concatenate(parts)
 
 
 def _bits(key: int, lo: int, out: np.ndarray) -> np.ndarray:

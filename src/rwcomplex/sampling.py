@@ -158,8 +158,8 @@ class PairedSample:
         """Weights at the given ranks (w, or w' when primed).  The constant
         law ignores its uniforms, so it draws none."""
         dist = self.params.dist
-        if dist.kind == "constant":
-            return dist.inverse_cdf(np.zeros(np.shape(ranks)))
+        if dist.kind == "constant":     # [()]: a scalar at a 0-d rank
+            return np.full(np.shape(ranks), dist.param, dtype=np.float64)[()]
         tag = rng.TAG_WP if primed else rng.TAG_W
         return dist.inverse_cdf(rng.uniforms(self._key(tag), ranks))
 
@@ -184,7 +184,7 @@ class PairedSample:
         present = rng.ranks_below(self._key(rng.TAG_B), nd, self.params.p)
         for r, v in (self.forced.b if self.forced else {}).items():
             if 0 <= r < nd:     # forced ranks out of range are ignored
-                i = int(np.searchsorted(present, r))
+                i = int(present.searchsorted(r))
                 if (present[i:i + 1].tolist() == [r]) != v:
                     present = np.insert(present, i, r) if v \
                         else np.delete(present, i)

@@ -37,10 +37,12 @@ def check_simplex(vertices: Sequence[int], n: int) -> None:
 
 
 def _check_weights(weights) -> None:
-    """Refuse non-finite or negative simplex weights."""
-    if not np.isfinite(weights).all():
+    """Refuse non-finite or negative simplex weights.  A NaN propagates
+    through both reductions, so it is refused as non-finite first."""
+    lo, hi = weights.min(initial=0.0), weights.max(initial=0.0)
+    if not -math.inf < lo <= hi < math.inf:
         raise ValueError("weights must be finite")
-    if np.any(weights < 0):
+    if lo < 0:
         raise ValueError("negative weight")
 
 
@@ -126,12 +128,13 @@ def face_rank_array(ranks, k: int, n: int) -> np.ndarray:
     r = np.array(ranks, dtype=np.int64).reshape(-1)
     B = _binomials(n, k)
     out = np.empty((r.size, k + 1), dtype=np.int64)
-    above = np.zeros(r.size, dtype=np.int64)
+    above = 0
     for j in range(k, -1, -1):
-        v = np.searchsorted(B[j + 1], r, side="right") - 1    # vertex j
-        r -= B[j + 1, v]
+        v = B[j + 1].searchsorted(r, side="right") - 1        # vertex j
+        r -= B[j + 1].take(v)
         np.add(r, above, out=out[:, j])
-        above += B[j, v]
+        if j:
+            above += B[j].take(v)
     return out
 
 
@@ -225,7 +228,7 @@ class WeightedComplex:
         if present.shape != weights.shape:
             raise ValueError("present/weights shape mismatch")
         if present.size:
-            if np.any(np.diff(present) <= 0):
+            if (present[1:] <= present[:-1]).any():
                 raise ValueError("present ranks must be sorted and unique")
             if present[0] < 0 or present[-1] >= math.comb(self.n, self.d + 1):
                 raise ValueError("present rank out of range")
@@ -310,11 +313,12 @@ class FaceIndex:
         flat = face_rows.ravel()
         order = flat.astype(np.min_scalar_type(flat.max(initial=0))).argsort(
             kind="stable")
-        ranks = flat[order]
-        new = np.ones(flat.size + 1, dtype=bool)    # run starts, plus the end
+        ranks = flat.take(order)
+        new = np.empty(flat.size + 1, dtype=bool)   # run starts, plus the end
+        new[0] = new[-1] = True
         np.not_equal(ranks[1:], ranks[:-1], out=new[1:-1])
         self.ptr = new.nonzero()[0]
-        self.faces = ranks[self.ptr[:-1]]           # covered face ranks
+        self.faces = ranks.take(self.ptr[:-1])      # covered face ranks
         self.rows = np.empty(face_rows.shape, dtype=order.dtype)
         self.rows.ravel()[order] = new[:-1].cumsum() - 1  # face_rows as ids
         self.simp = order // face_rows.shape[1]

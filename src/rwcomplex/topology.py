@@ -75,7 +75,7 @@ def _site(X: WeightedComplex, tau_rank: int) -> Tuple[int, list, list]:
     on X, as its face rows are."""
     sites = X.__dict__.setdefault("_sites", {})
     if tau_rank not in sites:
-        i = int(np.searchsorted(X.present, tau_rank))
+        i = int(X.present.searchsorted(tau_rank))
         ranks = _center_faces(X, unrank_colex(tau_rank, X.d, X.n))
         i = i if X.present[i:i + 1].tolist() == [tau_rank] else -1
         sites[tau_rank] = i, ranks, [X.face_index.find(r) for r in ranks]
@@ -154,13 +154,14 @@ def component_labels(X: WeightedComplex) -> np.ndarray:
     one root: the least simplex position in its component, so roots count."""
     index = X.face_index
     simp, ptr = index.simp, index.ptr
-    a = np.delete(np.arange(simp.size), ptr[:-1])   # not a run start
-    u, v = simp[a - 1], simp[a]
+    later = np.ones(simp.size, dtype=bool)           # not a run start
+    later[ptr[:-1]] = False
+    u, v = simp[:-1][later[1:]], simp[later]
     parent, ru, rv = np.arange(X.num_present), u, v
-    while not np.array_equal(ru, rv):
+    while (ru != rv).any():
         np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
+        while (jumped != parent).any():
             parent, jumped = jumped, jumped[jumped]
         ru, rv = parent[u], parent[v]
     cid = np.cumsum(parent == np.arange(parent.size)) - 1
